@@ -209,8 +209,7 @@ void BenchReplay() {
                       method == 0 ? MakeNrbcConflict(ba) : MakeNfcConflict(ba),
                       std::move(recovery));
     const auto start = std::chrono::steady_clock::now();
-    RecoveryReport report;
-    CCR_CHECK(manager.RestartFromImage(image, &report).ok());
+    CCR_CHECK(manager.RestartFromImage(image).ok());
     const double seconds = Seconds(start);
     engine.AddRow(
         {method == 0 ? "UIP" : "DU", StrFormat("%zu", n),

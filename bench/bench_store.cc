@@ -53,6 +53,7 @@
 #include "sim/crash_harness.h"
 #include "store/log_store.h"
 #include "txn/checkpoint.h"
+#include "txn/group_commit.h"
 #include "txn/journal.h"
 #include "txn/journal_io.h"
 #include "txn/txn_manager.h"
@@ -231,8 +232,10 @@ void BuildRestartWorld(const std::string& dir, size_t population,
       SegmentedFileSink::Open(dir, 1, sink_options);
   CCR_CHECK(sink.ok());
   JournalWriter writer(sink->get());
+  GroupCommitPipeline pipeline(&writer,
+                               GroupCommitOptions{DurabilityMode::kSync});
   Journal journal;
-  journal.set_writer(&writer);
+  journal.set_pipeline(&pipeline);
   manager.set_lifecycle_journal(&journal);
 
   const auto inc = [&](size_t i, int64_t amount) {

@@ -41,6 +41,9 @@ echo "==> serve smoke: conservation + shed accounting + serving crash audit (ben
 cmake --build --preset default -j "${JOBS}" --target bench_serve
 ./build/bench/bench_serve --smoke
 
+echo "==> ccrbench smoke: workloads + 20 audited restarts each (run.sh --quick)"
+bash bench/ccrbench/run.sh --quick
+
 if [[ "${FAST}" == 1 ]]; then
   echo "==> --fast: skipping sanitizer crash suites"
   exit 0

@@ -232,8 +232,10 @@ void AuditCrashImage(const SystemFactory& factory, const Journal& journal,
   // Restart: a newly built system recovered from the surviving bytes.
   TxnManager restarted;
   factory(&restarted);
-  result.status = restarted.RestartFromImage(crashed, &result.report);
+  StatusOr<RestartSummary> summary = restarted.RestartFromImage(crashed);
+  result.status = summary.status();
   if (!result.status.ok()) return;
+  result.report = summary->scan;
 
   // Audit 3: every record a completed sync covered — every possibly
   // acknowledged commit — survived recovery.

@@ -52,21 +52,9 @@ enum class DeadlockPolicy {
   kWoundWait,  // an older waiter wounds (kills) younger holders
 };
 
-// How blocked callers learn that their blockers changed.
-enum class WakeupMode {
-  // Targeted notify per waiter whose registered blockers finished (or whose
-  // partial operation may have been enabled by a view change).
-  kEventDriven,
-  // Baseline for bench_wait_queue: every state change signals every waiter
-  // and sleepers additionally wake on a short slice — the notify-storm cost
-  // model of the old polling engine.
-  kPolling,
-};
-
 struct AtomicObjectOptions {
   std::chrono::milliseconds lock_timeout{500};
   DeadlockPolicy policy = DeadlockPolicy::kDetect;
-  WakeupMode wakeup = WakeupMode::kEventDriven;
   // For nondeterministic specs: pick among enabled outcomes at random
   // (seeded) instead of always the first.
   uint64_t choice_seed = 1;

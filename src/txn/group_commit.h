@@ -40,8 +40,8 @@
 //
 // Modes:
 //   kSync    — per-record append+fdatasync inline in Sequence (inside the
-//              object critical section). The PR 3 behavior, kept as the
-//              bench baseline.
+//              object critical section). The engine's only per-record-sync
+//              path, and the bench baseline.
 //   kGroup   — the pipeline described above; ack waits for the watermark.
 //   kRelaxed — sequence and ack immediately; the flusher still makes the
 //              log durable in the background, but an acknowledged commit

@@ -4,7 +4,6 @@
 
 #include "common/macros.h"
 #include "txn/group_commit.h"
-#include "txn/journal_io.h"
 
 namespace ccr {
 
@@ -20,37 +19,24 @@ Lsn Journal::high_lsn() const {
   return base_lsn_ + static_cast<Lsn>(entries_.size());
 }
 
-Lsn Journal::base_lsn() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return base_lsn_;
-}
-
 Lsn Journal::AppendEntry(Entry entry) {
   std::lock_guard<std::mutex> lock(mu_);
-  CCR_CHECK_MSG(writer_ == nullptr || pipeline_ == nullptr,
-                "journal has both a direct writer and a pipeline");
+  if (pipeline_ == nullptr) {
+    entries_.push_back(std::move(entry));
+    return kNoLsn;
+  }
+  // Copy into the volatile view, hand the original to the pipeline. Called
+  // under the journal mutex, so the pipeline's LSN order equals entries_
+  // order (the pipeline's counter is asserted against ours).
   const Lsn lsn = base_lsn_ + static_cast<Lsn>(entries_.size()) + 1;
-  if (pipeline_ != nullptr) {
-    // Sequence only: copy into the volatile view, hand the original to the
-    // pipeline. Called under the journal mutex, so the pipeline's LSN
-    // order equals entries_ order (the pipeline's counter is asserted
-    // against ours).
-    entries_.push_back(entry);
-    const Lsn sequenced = pipeline_->Sequence(std::move(entry));
-    CCR_CHECK_MSG(sequenced == lsn,
-                  "pipeline LSN %llu diverged from journal LSN %llu — the "
-                  "pipeline is shared with another journal",
-                  static_cast<unsigned long long>(sequenced),
-                  static_cast<unsigned long long>(lsn));
-    return lsn;
-  }
-  entries_.push_back(std::move(entry));
-  if (writer_ != nullptr) {
-    const Status s = writer_->Append(entries_.back());
-    CCR_CHECK_MSG(s.ok(), "durable journal append failed: %s",
-                  s.ToString().c_str());
-  }
-  return writer_ != nullptr ? lsn : kNoLsn;
+  entries_.push_back(entry);
+  const Lsn sequenced = pipeline_->Sequence(std::move(entry));
+  CCR_CHECK_MSG(sequenced == lsn,
+                "pipeline LSN %llu diverged from journal LSN %llu — the "
+                "pipeline is shared with another journal",
+                static_cast<unsigned long long>(sequenced),
+                static_cast<unsigned long long>(lsn));
+  return lsn;
 }
 
 Lsn Journal::AppendCommit(TxnId txn, OpSeq ops) {

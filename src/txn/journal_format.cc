@@ -203,29 +203,30 @@ std::string EncodeEntryRecord(const Journal::Entry& entry) {
 }
 
 std::string RecoveryReport::ToString() const {
-  return StrFormat("replayed=%zu truncated=%zuB corrupt_tail=%s",
-                   records_replayed, bytes_truncated,
+  return StrFormat("replayed=%zu skipped=%zu truncated=%zuB corrupt_tail=%s",
+                   records_replayed, records_skipped, bytes_truncated,
                    corrupt_tail ? "yes" : "no");
 }
 
-Status ForEachJournalEntry(
-    std::string_view image,
-    const std::function<Status(Journal::Entry&&)>& fn,
-    RecoveryReport* report) {
+Status ForEachJournalEntry(std::string_view image, Lsn after_lsn,
+                           const JournalEntryFn& fn, RecoveryReport* report) {
   RecoveryReport local;
   size_t offset = 0;
+  Lsn lsn = 1;
   while (offset < image.size()) {
     uint32_t len = 0;
     bool damaged = !IntactJournalFrameAt(image, offset, &len);
-    if (!damaged) {
+    if (!damaged && lsn > after_lsn) {
       StatusOr<Journal::Entry> decoded = DecodeEntryPayload(
           image.substr(offset + kJournalFrameHeaderSize, len));
       damaged = !decoded.ok();
       if (!damaged) {
-        CCR_RETURN_IF_ERROR(fn(std::move(*decoded)));
+        CCR_RETURN_IF_ERROR(fn(lsn, std::move(*decoded)));
         ++local.records_replayed;
-        offset += kJournalFrameHeaderSize + len;
       }
+    } else if (!damaged) {
+      // Covered by the checkpoint: CRC already validated, skip the decode.
+      ++local.records_skipped;
     }
     if (damaged) {
       if (IntactJournalFrameAfter(image, offset)) {
@@ -241,30 +242,19 @@ Status ForEachJournalEntry(
       local.corrupt_tail = true;
       break;
     }
+    ++lsn;
+    offset += kJournalFrameHeaderSize + len;
   }
   if (report != nullptr) *report = local;
   return Status::OK();
-}
-
-Status ForEachJournalRecord(
-    std::string_view image,
-    const std::function<Status(Journal::CommitRecord&&)>& fn,
-    RecoveryReport* report) {
-  return ForEachJournalEntry(
-      image,
-      [&fn](Journal::Entry&& entry) {
-        if (entry.is_lifecycle) return Status::OK();
-        return fn(std::move(entry.commit));
-      },
-      report);
 }
 
 StatusOr<Journal> ScanJournalImage(std::string_view image,
                                    RecoveryReport* report) {
   std::vector<Journal::Entry> entries;
   CCR_RETURN_IF_ERROR(ForEachJournalEntry(
-      image,
-      [&entries](Journal::Entry&& entry) {
+      image, /*after_lsn=*/0,
+      [&entries](Lsn, Journal::Entry&& entry) {
         entries.push_back(std::move(entry));
         return Status::OK();
       },

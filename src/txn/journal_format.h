@@ -98,41 +98,43 @@ std::string EncodeEntryPayload(const Journal::Entry& entry);
 StatusOr<Journal::Entry> DecodeEntryPayload(std::string_view payload);
 std::string EncodeEntryRecord(const Journal::Entry& entry);
 
-// What a crash image scan found and did.
+// What a journal scan found and did — of a crash image, a segmented
+// directory, or the in-memory journal (restart reports every source in
+// this one shape; segment counts stay 0 outside directories).
 struct RecoveryReport {
-  size_t records_replayed = 0;  // intact records in the valid prefix
+  size_t segments = 0;          // segments visited (incl. ignored artifacts)
+  size_t records_replayed = 0;  // intact records delivered to the visitor
+  size_t records_skipped = 0;   // intact records at or below after_lsn
   size_t bytes_truncated = 0;   // tail bytes dropped by the truncation rule
   bool corrupt_tail = false;    // true iff a torn/corrupt tail was dropped
+  // Final segments with no intact header — the artifact a crash during
+  // rotation (file created, header unwritten/torn) leaves behind.
+  size_t artifacts_ignored = 0;
 
   std::string ToString() const;
 };
 
+// Receives one scanned journal entry and its LSN; non-OK aborts the scan
+// with that error.
+using JournalEntryFn = std::function<Status(Lsn, Journal::Entry&&)>;
+
 // Streams the entries (commit + lifecycle records) of a crash image in
 // order, applying the torn-tail truncation rule above, without
-// materializing more than one decoded entry at a time — restart memory
-// stays bounded by one entry instead of the whole journal. `fn` returning
-// non-OK aborts the scan with that error; mid-journal corruption returns
-// kInternal; a truncated tail is reported, not an error. `report`
-// (optional) receives the outcome of a completed scan.
-Status ForEachJournalEntry(
-    std::string_view image,
-    const std::function<Status(Journal::Entry&&)>& fn,
-    RecoveryReport* report);
-
-// Commit-records-only view of ForEachJournalEntry: lifecycle entries are
-// skipped (they still count toward the report's records_replayed — they
-// occupy LSN slots).
-Status ForEachJournalRecord(
-    std::string_view image,
-    const std::function<Status(Journal::CommitRecord&&)>& fn,
-    RecoveryReport* report);
+// materializing more than one decoded entry at a time. LSNs count from 1;
+// entries with LSN <= after_lsn are checksum-verified but not decoded or
+// delivered (a checkpoint whose anchor the caller passes covers them).
+// Mid-journal corruption returns kInternal; a truncated tail is reported,
+// not an error. `report` (optional) receives the outcome of a completed
+// scan.
+Status ForEachJournalEntry(std::string_view image, Lsn after_lsn,
+                           const JournalEntryFn& fn, RecoveryReport* report);
 
 // Scans a journal image as found after a crash and returns the valid
 // prefix as an in-memory Journal, applying the torn-tail truncation rule
 // above. `report` (optional) receives what happened. Mid-journal
 // corruption — an intact record after a damaged one — returns kInternal.
-// (Materializes every record; prefer ForEachJournalRecord on restart
-// paths.)
+// (Materializes every record; restart paths stream with
+// ForEachJournalEntry instead.)
 StatusOr<Journal> ScanJournalImage(std::string_view image,
                                    RecoveryReport* report);
 

@@ -529,11 +529,10 @@ Lsn SegmentedFileSink::next_lsn() const {
   return next_lsn_;
 }
 
-Status ForEachSegmentedEntry(
-    const std::string& dir, Lsn after_lsn,
-    const std::function<Status(Lsn, Journal::Entry&&)>& fn,
-    SegmentScanReport* report) {
-  SegmentScanReport local;
+Status ForEachSegmentedEntry(const std::string& dir, Lsn after_lsn,
+                             const JournalEntryFn& fn,
+                             RecoveryReport* report) {
+  RecoveryReport local;
   StatusOr<std::vector<std::pair<uint64_t, std::string>>> segments =
       ListSegments(dir);
   if (!segments.ok()) return segments.status();
@@ -593,7 +592,7 @@ Status ForEachSegmentedEntry(
                 offset + kJournalFrameHeaderSize, len));
         if (decoded.ok()) {
           CCR_RETURN_IF_ERROR(fn(expected, std::move(*decoded)));
-          ++local.records;
+          ++local.records_replayed;
         } else {
           damaged = true;
         }
@@ -624,7 +623,7 @@ Status ForEachSegmentedEntry(
 Status ForEachSegmentedRecord(
     const std::string& dir, Lsn after_lsn,
     const std::function<Status(Lsn, Journal::CommitRecord&&)>& fn,
-    SegmentScanReport* report) {
+    RecoveryReport* report) {
   return ForEachSegmentedEntry(
       dir, after_lsn,
       [&fn](Lsn lsn, Journal::Entry&& entry) {

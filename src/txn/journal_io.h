@@ -231,38 +231,25 @@ class SegmentedFileSink : public ByteSink {
   std::vector<Sealed> sealed_;
 };
 
-// What a segmented-directory scan found and did.
-struct SegmentScanReport {
-  size_t segments = 0;           // segments visited (incl. ignored artifacts)
-  size_t records = 0;            // intact records delivered to fn
-  size_t records_skipped = 0;    // intact records at or below after_lsn
-  size_t bytes_truncated = 0;    // torn tail of the final segment
-  bool corrupt_tail = false;
-  // Final segments with no intact header — the artifact a crash during
-  // rotation (file created, header unwritten/torn) leaves behind.
-  size_t artifacts_ignored = 0;
-};
-
 // Streams the entries (commit + lifecycle records) of a segmented journal
 // directory in LSN order, skipping entries with LSN <= after_lsn (they are
-// covered by the checkpoint whose anchor the caller passes). Validates
-// segment continuity: the first surviving segment must start at or below
+// covered by the checkpoint whose anchor the caller passes) — the same
+// contract as ForEachJournalEntry over a single image. Validates segment
+// continuity: the first surviving segment must start at or below
 // after_lsn + 1 and each subsequent segment must continue exactly where
 // the previous ended (kInternal otherwise — truncation outran its
 // checkpoint or a segment vanished). A torn tail is legal only in the
-// final segment; damage anywhere else is kInternal. `fn(lsn, entry)`
-// returning non-OK aborts the scan with that error.
-Status ForEachSegmentedEntry(
-    const std::string& dir, Lsn after_lsn,
-    const std::function<Status(Lsn, Journal::Entry&&)>& fn,
-    SegmentScanReport* report);
+// final segment; damage anywhere else is kInternal.
+Status ForEachSegmentedEntry(const std::string& dir, Lsn after_lsn,
+                             const JournalEntryFn& fn,
+                             RecoveryReport* report);
 
 // Commit-records-only view of ForEachSegmentedEntry: lifecycle entries are
 // skipped (still counted in the report — they occupy LSN slots).
 Status ForEachSegmentedRecord(
     const std::string& dir, Lsn after_lsn,
     const std::function<Status(Lsn, Journal::CommitRecord&&)>& fn,
-    SegmentScanReport* report);
+    RecoveryReport* report);
 
 // Write-path fault injection. A fault is positioned by *record index* (the
 // i-th appended record, 0-based):
@@ -310,9 +297,8 @@ class FaultInjector {
 void FlipByte(std::string* image, size_t offset, uint8_t mask = 0x01);
 
 // Frames commit records into a sink, through the fault injector. Calls are
-// expected to be externally serialized (Journal::AppendCommit forwards
-// under the journal mutex in per-record-sync mode; the group-commit
-// flusher is a single thread).
+// expected to be externally serialized (GroupCommitPipeline appends under
+// its mutex in kSync mode and from its single flusher thread otherwise).
 class JournalWriter {
  public:
   explicit JournalWriter(ByteSink* sink,
@@ -321,7 +307,7 @@ class JournalWriter {
   // Encodes `record`, passes it through the injector, and appends whatever
   // the injector admits. Each append is followed by Sync: the commit
   // record is the durability point, so it must be on disk before the
-  // commit is acknowledged. (The per-record-sync baseline path.)
+  // commit is acknowledged. (The pipeline's kSync path.)
   Status Append(const Journal::CommitRecord& record);
 
   // Appends without syncing — the group-commit path. The record is NOT

@@ -25,7 +25,6 @@ std::unique_ptr<AtomicObject> TxnManager::BuildObject(ObjectId id,
   AtomicObjectOptions obj_options;
   obj_options.lock_timeout = options_.lock_timeout;
   obj_options.policy = options_.policy;
-  obj_options.wakeup = options_.wakeup;
   auto object = std::make_unique<AtomicObject>(
       std::move(id), std::move(config.adt), std::move(config.conflict),
       std::move(config.recovery), obj_options);
@@ -365,43 +364,6 @@ Status TxnManager::ReplayContext::ApplyDrop(const ObjectId& id) {
   return Status::OK();
 }
 
-Status TxnManager::ReplayContext::ReplayCommitRecord(
-    const Journal::CommitRecord& record, Lsn lsn,
-    const std::map<ObjectId, Lsn>* ckpt_lsn, size_t* skipped) {
-  // A record's ops may interleave objects (response order); group them
-  // per object, preserving per-object order — object states are
-  // independent, so the grouped replay is effect-equal.
-  std::vector<std::pair<AtomicObject*, OpSeq>> grouped;
-  std::map<AtomicObject*, size_t> group_index;
-  for (const Operation& op : record.ops) {
-    if (ckpt_lsn != nullptr) {
-      const auto it = ckpt_lsn->find(op.object());
-      if (it != ckpt_lsn->end() && lsn <= it->second) {
-        // The object's installed image already reflects this op (the fuzzy
-        // overshoot) — and the image vouches for the id, so no
-        // unknown-object check applies.
-        if (skipped != nullptr) ++*skipped;
-        continue;
-      }
-    }
-    AtomicObject* obj = Find(op.object());
-    if (obj == nullptr) {
-      return Status::Internal(StrFormat(
-          "journal names %s object %s — restart system does not match the "
-          "journaled one",
-          dropped_.count(op.object()) != 0 ? "dropped" : "unknown",
-          op.object().c_str()));
-    }
-    const auto [it, inserted] = group_index.emplace(obj, grouped.size());
-    if (inserted) grouped.emplace_back(obj, OpSeq{});
-    grouped[it->second].second.push_back(op);
-  }
-  for (auto& [obj, ops] : grouped) {
-    CCR_RETURN_IF_ERROR(obj->ReplayCommitted(record.txn, ops, lsn));
-  }
-  return Status::OK();
-}
-
 void TxnManager::ReplayContext::Finalize(size_t* objects_created,
                                          size_t* objects_dropped) {
   size_t created_count = 0;
@@ -427,70 +389,6 @@ void TxnManager::ReplayContext::Finalize(size_t* objects_created,
   }
   if (objects_created != nullptr) *objects_created = created_count;
   if (objects_dropped != nullptr) *objects_dropped = dropped_.size();
-}
-
-Status TxnManager::RestartGuarded(
-    const std::function<Status(ReplayContext&)>& replay,
-    size_t* objects_created, size_t* objects_dropped) {
-  for (size_t i = 0; i < kLiveStripes; ++i) {
-    std::lock_guard<std::mutex> lock(live_[i].mu);
-    if (!live_[i].txns.empty()) {
-      return Status::IllegalState(
-          "Restart with live transactions — recovery runs on a fresh "
-          "manager before any transaction begins");
-    }
-  }
-  // Detach journals during replay: the records being replayed are already
-  // durable, and re-appending them would double the journal.
-  const std::vector<AtomicObject*> objs = objects();
-  std::map<AtomicObject*, Journal*> detached;
-  for (AtomicObject* obj : objs) {
-    detached[obj] = obj->recovery().journal();
-    obj->recovery().set_journal(nullptr);
-  }
-  // One id->object map for the whole replay: the per-op object(...) lookup
-  // cost a directory probe per journaled operation, which dominated restart
-  // on long journals. The context layers lifecycle effects (creates, drops)
-  // on top without touching the directory until Finalize.
-  std::map<ObjectId, AtomicObject*> by_id;
-  for (AtomicObject* obj : objs) by_id.emplace(obj->id(), obj);
-
-  ReplayContext ctx(this, by_id);
-  Status status = replay(ctx);
-
-  if (status.ok() && store_ != nullptr) {
-    // Store reconcile: re-delete the keys of every object this replay saw
-    // dropped. A pre-crash buffered Delete may have been lost; once the
-    // journal's drop record is truncated, a surviving key would resurrect
-    // the object at the next restart. Buffered is sound here too —
-    // truncation only follows a later durable checkpoint whose sync
-    // hardens this batch, and until then the journal still carries the
-    // drop record, so the next restart re-issues the Delete.
-    StoreWriteBatch batch;
-    for (const ObjectId& id : ctx.dropped()) {
-      batch.Delete(StoreObjectKey(id));
-    }
-    for (const ObjectId& id : ctx.store_dead()) {
-      if (ctx.dropped().count(id) == 0) batch.Delete(StoreObjectKey(id));
-    }
-    if (!batch.empty()) {
-      std::lock_guard<std::mutex> lock(store_mu_);
-      status = store_->ApplyBatch(batch, ObjectStore::Durability::kBuffered);
-    }
-  }
-
-  if (!status.ok()) {
-    // Fail-atomicity: a half-replayed manager must not pass for a
-    // recovered one. Reset every object to its initial state while the
-    // journals are still detached, so the error path leaves exactly the
-    // "empty system" a caller can reason about (retry, or discard).
-    // Replay-created objects were never published — they die with the
-    // context.
-    for (AtomicObject* obj : objs) obj->ResetForRecovery();
-  }
-  for (auto& [obj, jnl] : detached) obj->recovery().set_journal(jnl);
-  if (status.ok()) ctx.Finalize(objects_created, objects_dropped);
-  return status;
 }
 
 Status TxnManager::InstallImageObjects(
@@ -525,398 +423,379 @@ Status TxnManager::InstallImageObjects(
         obj->adt().DecodeState(entry.encoded);
     if (!state.ok()) return state.status();
     obj->InstallCheckpoint(std::move(*state), entry.lsn);
-    if (installed != nullptr) ++*installed;
+    ++*installed;
   }
   return Status::OK();
 }
 
-Status TxnManager::Restart(const Journal& journal) {
-  return RestartGuarded([&](ReplayContext& ctx) {
-    // Store-preferring restart: install the store's durable checkpoint
-    // first and replay only what each image does not cover. Without a
-    // store (or before its first checkpoint) the map stays empty and this
-    // is a full replay.
-    std::map<ObjectId, Lsn> ckpt_lsn;
-    TxnId max_txn = 0;
-    if (store_ != nullptr) {
-      StatusOr<CheckpointImage> image = LoadCheckpointFromStore(store_);
-      if (!image.ok()) return image.status();
-      CCR_RETURN_IF_ERROR(
-          InstallImageObjects(ctx, *image, &ckpt_lsn, nullptr, nullptr));
-      max_txn = image->max_txn;
-    }
-    const std::map<ObjectId, Lsn>* covered_map =
-        ckpt_lsn.empty() ? nullptr : &ckpt_lsn;
-    const auto covered = [&](Lsn lsn, const ObjectId& id) {
-      const auto it = ckpt_lsn.find(id);
-      return it != ckpt_lsn.end() && lsn <= it->second;
-    };
-    Status status = Status::OK();
-    // Replayed LSNs must live in the journal's own numbering space: a
-    // journal continuing a prior generation (set_base_lsn) assigns its
-    // first record base+1, and per-object last-committed LSNs seeded here
-    // are later compared against journal.high_lsn() by checkpoints.
-    journal.ForEachEntry([&](Lsn lsn, const Journal::Entry& entry) {
-      if (!status.ok()) return;
-      if (entry.is_lifecycle) {
-        const LifecycleRecord& lc = entry.lifecycle;
-        if (covered(lsn, lc.object)) {
-          // The installed image's incarnation already reflects this
-          // lifecycle event (a covered create's incarnation is the
-          // image's own).
-          return;
-        }
-        if (lc.kind == LifecycleRecord::Kind::kDrop) {
-          status = ctx.ApplyDrop(lc.object);
-          return;
-        }
-        StatusOr<ReplayContext::CreateResult> created =
-            ctx.ApplyCreate(lc.object, lc.factory);
-        if (!created.ok()) {
-          status = created.status();
-        } else if (created->existed) {
-          // Serial in-order replay: apply the incarnation reset here.
-          created->object->ResetForRecovery();
-        }
-        return;
-      }
-      max_txn = std::max(max_txn, entry.commit.txn);
-      status = ctx.ReplayCommitRecord(entry.commit, lsn, covered_map, nullptr);
-    });
-    // Post-restart transactions must not reuse replayed ids: a reused id
-    // would journal a second commit record under an id that already has
-    // one.
-    if (status.ok()) AdvanceTxnWatermark(max_txn);
-    return status;
-  });
+StatusOr<RestartSummary> TxnManager::Restart(const Journal& journal,
+                                             RestartOptions options) {
+  return RestartFrom(
+      [&journal](Lsn after_lsn, const JournalEntryFn& fn,
+                 RecoveryReport* report) {
+        // LSNs come from the journal's own numbering space (a journal
+        // continuing a prior generation starts at its base + 1), so the
+        // per-object LSNs replay seeds match what later checkpoints pair
+        // with journal.high_lsn().
+        Status status;
+        journal.ForEachEntry([&](Lsn lsn, const Journal::Entry& entry) {
+          if (!status.ok()) return;
+          if (lsn <= after_lsn) {
+            ++report->records_skipped;
+            return;
+          }
+          status = fn(lsn, Journal::Entry(entry));
+          if (status.ok()) ++report->records_replayed;
+        });
+        return status;
+      },
+      /*checkpoint_dir=*/"", options);
 }
 
-Status TxnManager::RestartFromImage(std::string_view image,
-                                    RecoveryReport* report) {
-  return RestartGuarded([&](ReplayContext& ctx) {
-    // Stream the scan: each record is decoded, replayed, and discarded —
-    // the image is never materialized as a second in-memory journal.
-    // Like Restart, the store's checkpoint (when present) is installed
-    // first and covered records are skipped per object.
-    std::map<ObjectId, Lsn> ckpt_lsn;
-    TxnId max_txn = 0;
-    if (store_ != nullptr) {
-      StatusOr<CheckpointImage> store_image = LoadCheckpointFromStore(store_);
-      if (!store_image.ok()) return store_image.status();
-      CCR_RETURN_IF_ERROR(
-          InstallImageObjects(ctx, *store_image, &ckpt_lsn, nullptr, nullptr));
-      max_txn = store_image->max_txn;
-    }
-    const std::map<ObjectId, Lsn>* covered_map =
-        ckpt_lsn.empty() ? nullptr : &ckpt_lsn;
-    const auto covered = [&](Lsn lsn, const ObjectId& id) {
-      const auto it = ckpt_lsn.find(id);
-      return it != ckpt_lsn.end() && lsn <= it->second;
-    };
-    Lsn lsn = 0;
-    const Status status = ForEachJournalEntry(
-        image,
-        [&](Journal::Entry&& entry) {
-          ++lsn;
-          if (entry.is_lifecycle) {
-            const LifecycleRecord& lc = entry.lifecycle;
-            if (covered(lsn, lc.object)) return Status::OK();
-            if (lc.kind == LifecycleRecord::Kind::kDrop) {
-              return ctx.ApplyDrop(lc.object);
-            }
-            StatusOr<ReplayContext::CreateResult> created =
-                ctx.ApplyCreate(lc.object, lc.factory);
-            if (!created.ok()) return created.status();
-            if (created->existed) created->object->ResetForRecovery();
-            return Status::OK();
-          }
-          max_txn = std::max(max_txn, entry.commit.txn);
-          return ctx.ReplayCommitRecord(entry.commit, lsn, covered_map,
-                                        nullptr);
-        },
-        report);
-    if (status.ok()) AdvanceTxnWatermark(max_txn);
-    return status;
-  });
+StatusOr<RestartSummary> TxnManager::RestartFromImage(std::string_view image,
+                                                      RestartOptions options) {
+  return RestartFrom(
+      [image](Lsn after_lsn, const JournalEntryFn& fn,
+              RecoveryReport* report) {
+        return ForEachJournalEntry(image, after_lsn, fn, report);
+      },
+      /*checkpoint_dir=*/"", options);
 }
 
 StatusOr<RestartSummary> TxnManager::RestartFromDir(const std::string& dir,
                                                     RestartOptions options) {
+  return RestartFrom(
+      [&dir](Lsn after_lsn, const JournalEntryFn& fn,
+             RecoveryReport* report) {
+        return ForEachSegmentedEntry(dir, after_lsn, fn, report);
+      },
+      dir, options);
+}
+
+namespace {
+
+// One unit of an object's tail replay: a commit record's ops at that
+// object, or (create_reset) an incarnation boundary that carries no ops.
+struct TailEntry {
+  bool create_reset;
+  TxnId txn;
+  Lsn lsn;
+  OpSeq ops;
+};
+
+using TailBucket = std::pair<AtomicObject*, std::vector<TailEntry>>;
+
+// Replays the per-object buckets over up to `max_threads` workers. Each
+// worker owns whole buckets (claimed off an atomic cursor), so a given
+// object is replayed by exactly one thread and needs no cross-thread
+// ordering.
+Status ReplayBuckets(std::vector<TailBucket>& buckets, int max_threads) {
+  const auto replay = [](TailBucket& bucket) {
+    for (TailEntry& entry : bucket.second) {
+      if (entry.create_reset) {
+        bucket.first->ResetForRecovery();
+        continue;
+      }
+      CCR_RETURN_IF_ERROR(
+          bucket.first->ReplayCommitted(entry.txn, entry.ops, entry.lsn));
+    }
+    return Status::OK();
+  };
+  const int threads = std::max(
+      1, std::min<int>(max_threads, static_cast<int>(buckets.size())));
+  if (threads == 1) {
+    for (TailBucket& bucket : buckets) CCR_RETURN_IF_ERROR(replay(bucket));
+    return Status::OK();
+  }
+  std::atomic<size_t> cursor{0};
+  std::mutex error_mu;
+  Status status = Status::OK();
+  std::vector<std::thread> pool;
+  pool.reserve(static_cast<size_t>(threads));
+  for (int t = 0; t < threads; ++t) {
+    pool.emplace_back([&] {
+      for (;;) {
+        const size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+        if (i >= buckets.size()) return;
+        const Status s = replay(buckets[i]);
+        if (!s.ok()) {
+          std::lock_guard<std::mutex> lock(error_mu);
+          if (status.ok()) status = s;
+          return;
+        }
+      }
+    });
+  }
+  for (std::thread& worker : pool) worker.join();
+  return status;
+}
+
+}  // namespace
+
+StatusOr<RestartSummary> TxnManager::RestartFrom(
+    const EntryScan& scan, const std::string& checkpoint_dir,
+    RestartOptions options) {
+  for (size_t i = 0; i < kLiveStripes; ++i) {
+    std::lock_guard<std::mutex> lock(live_[i].mu);
+    if (!live_[i].txns.empty()) {
+      return Status::IllegalState(
+          "Restart with live transactions — recovery runs on a fresh "
+          "manager before any transaction begins");
+    }
+  }
+  // Detach journals during replay: the records being replayed are already
+  // durable, and re-appending them would double the journal. One id->object
+  // map serves the whole replay (a directory probe per journaled op
+  // dominated restart on long journals); the context layers lifecycle
+  // effects (creates, drops) on top without touching the directory until
+  // Finalize.
+  const std::vector<AtomicObject*> objs = objects();
+  std::vector<Journal*> detached;
+  std::map<ObjectId, AtomicObject*> by_id;
+  for (AtomicObject* obj : objs) {
+    detached.push_back(obj->recovery().journal());
+    obj->recovery().set_journal(nullptr);
+    by_id.emplace(obj->id(), obj);
+  }
+  ReplayContext ctx(this, by_id);
   RestartSummary summary;
-  const Status status = RestartGuarded(
-      [&](ReplayContext& ctx) {
-        // Prefer the store's checkpoint (its meta record) over the
-        // monolithic file: with a store attached the file may not even be
-        // written (CheckpointerOptions::also_write_file). A store without
-        // a meta record yields the empty image and falls back to the file.
-        CheckpointImage image;
-        if (store_ != nullptr) {
-          StatusOr<CheckpointImage> from_store =
-              LoadCheckpointFromStore(store_);
-          if (!from_store.ok()) return from_store.status();
-          if (from_store->anchor != 0 || !from_store->objects.empty()) {
-            image = std::move(*from_store);
-            summary.from_store = true;
-          }
-        }
-        if (!summary.from_store) {
-          StatusOr<CheckpointImage> from_file = Checkpointer::LoadNewest(dir);
-          if (!from_file.ok()) return from_file.status();
-          image = std::move(*from_file);
-        }
-        summary.checkpoint_anchor = image.anchor;
 
-        // Install the checkpointed states. `dyn` entries name objects this
-        // manager never registered — re-instantiate them through the
-        // factory registry first (or, under lazy_store_install, defer them
-        // until the tail names them). An `obj` entry naming an unknown
-        // object is a configuration mismatch (its truncated records are
-        // unrecoverable elsewhere); a manager object missing from the
-        // image simply replays its whole (surviving) history from the
-        // initial state.
-        std::map<ObjectId, Lsn> ckpt_lsn;
-        std::map<ObjectId, const CheckpointImage::ObjectEntry*> deferred;
-        const bool lazy = options.lazy_store_install && summary.from_store;
-        size_t installed = 0;
-        CCR_RETURN_IF_ERROR(InstallImageObjects(
-            ctx, image, &ckpt_lsn, lazy ? &deferred : nullptr, &installed));
-        summary.checkpoint_objects = installed;
+  const Status status = [&]() -> Status {
+    // Prefer the store's checkpoint (its meta record) over the monolithic
+    // file: with a store attached the file may not even be written
+    // (CheckpointerOptions::also_write_file). A store without a meta
+    // record yields the empty image and falls back to the file.
+    CheckpointImage image;
+    if (store_ != nullptr) {
+      StatusOr<CheckpointImage> from_store = LoadCheckpointFromStore(store_);
+      if (!from_store.ok()) return from_store.status();
+      if (from_store->anchor != 0 || !from_store->objects.empty()) {
+        image = std::move(*from_store);
+        summary.from_store = true;
+      }
+    }
+    if (!summary.from_store && !checkpoint_dir.empty()) {
+      StatusOr<CheckpointImage> from_file =
+          Checkpointer::LoadNewest(checkpoint_dir);
+      if (!from_file.ok()) return from_file.status();
+      image = std::move(*from_file);
+    }
+    summary.checkpoint_anchor = image.anchor;
 
-        // Materializes a deferred image entry once the tail names its
-        // object. Runs during the serial scan only.
-        const auto materialize =
-            [&](const std::map<ObjectId,
-                               const CheckpointImage::ObjectEntry*>::iterator
-                    dit) -> StatusOr<AtomicObject*> {
-          const CheckpointImage::ObjectEntry& entry = *dit->second;
-          StatusOr<ReplayContext::CreateResult> created =
-              ctx.ApplyCreate(entry.id, entry.factory);
-          if (!created.ok()) return created.status();
-          StatusOr<std::unique_ptr<SpecState>> state =
-              created->object->adt().DecodeState(entry.encoded);
-          if (!state.ok()) return state.status();
-          created->object->InstallCheckpoint(std::move(*state), entry.lsn);
-          ++summary.checkpoint_objects;
-          deferred.erase(dit);
-          return created->object;
-        };
+    // Install the checkpointed states. `dyn` entries name objects this
+    // manager never registered — re-instantiate them through the factory
+    // registry first (or, under lazy_store_install, defer them until the
+    // tail names them). An `obj` entry naming an unknown object is a
+    // configuration mismatch (its truncated records are unrecoverable
+    // elsewhere); a manager object missing from the image simply replays
+    // its whole (surviving) history from the initial state.
+    std::map<ObjectId, Lsn> ckpt_lsn;
+    std::map<ObjectId, const CheckpointImage::ObjectEntry*> deferred;
+    const bool lazy = options.lazy_store_install && summary.from_store;
+    CCR_RETURN_IF_ERROR(InstallImageObjects(ctx, image, &ckpt_lsn,
+                                            lazy ? &deferred : nullptr,
+                                            &summary.checkpoint_objects));
 
-        // Bucket the tail per object. Within a bucket, entries keep LSN
-        // order — including `create_reset` markers, which place an
-        // incarnation boundary between an older incarnation's (purged)
-        // records and the new incarnation's ops. Across buckets there is
-        // no ordering requirement (object states are independent), which
-        // is exactly what lets the replay fan out.
-        struct TailEntry {
-          bool create_reset;  // reset-to-initial marker, no ops
-          TxnId txn;
-          Lsn lsn;
-          OpSeq ops;
-        };
-        std::vector<std::pair<AtomicObject*, std::vector<TailEntry>>> buckets;
-        std::map<ObjectId, size_t> bucket_index;
-        auto bucket_for = [&](const ObjectId& id,
-                              AtomicObject* obj) -> std::vector<TailEntry>& {
-          const auto [bit, fresh] = bucket_index.emplace(id, buckets.size());
-          if (fresh) buckets.emplace_back(obj, std::vector<TailEntry>{});
-          return buckets[bit->second].second;
-        };
+    // Materializes a deferred image entry once the tail names its object.
+    // Runs during the serial scan only.
+    const auto materialize =
+        [&](const std::map<ObjectId,
+                           const CheckpointImage::ObjectEntry*>::iterator dit)
+        -> StatusOr<AtomicObject*> {
+      const CheckpointImage::ObjectEntry& entry = *dit->second;
+      StatusOr<ReplayContext::CreateResult> created =
+          ctx.ApplyCreate(entry.id, entry.factory);
+      if (!created.ok()) return created.status();
+      StatusOr<std::unique_ptr<SpecState>> state =
+          created->object->adt().DecodeState(entry.encoded);
+      if (!state.ok()) return state.status();
+      created->object->InstallCheckpoint(std::move(*state), entry.lsn);
+      ++summary.checkpoint_objects;
+      deferred.erase(dit);
+      return created->object;
+    };
 
-        // Ops naming an id that is neither registered, image-installed,
-        // nor tail-created: legal only when a later `drop` record shows
-        // the whole incarnation was superseded by the checkpoint (the
-        // object was dropped before the image walk, so the image has no
-        // entry, but its pre-drop tail records survive). Tracked here and
-        // judged once the scan completes.
-        std::map<ObjectId, bool> orphan_ok;
+    // Bucket the tail per object. Within a bucket, entries keep LSN order
+    // — including `create_reset` markers, which place an incarnation
+    // boundary between an older incarnation's (purged) records and the new
+    // incarnation's ops. Across buckets there is no ordering requirement
+    // (object states are independent), which is exactly what lets the
+    // replay fan out.
+    std::vector<TailBucket> buckets;
+    std::map<ObjectId, size_t> bucket_index;
+    auto bucket_for = [&](const ObjectId& id,
+                          AtomicObject* obj) -> std::vector<TailEntry>& {
+      const auto [bit, fresh] = bucket_index.emplace(id, buckets.size());
+      if (fresh) buckets.emplace_back(obj, std::vector<TailEntry>{});
+      return buckets[bit->second].second;
+    };
 
-        TxnId max_txn = image.max_txn;
-        Lsn high_lsn = image.anchor;
-        const Status scan_status = ForEachSegmentedEntry(
-            dir, image.anchor,
-            [&](Lsn lsn, Journal::Entry&& entry) {
-              high_lsn = std::max(high_lsn, lsn);
-              const auto covered = [&](const ObjectId& id) {
-                const auto it = ckpt_lsn.find(id);
-                return it != ckpt_lsn.end() && lsn <= it->second;
-              };
-              if (entry.is_lifecycle) {
-                const LifecycleRecord& lc = entry.lifecycle;
-                if (covered(lc.object)) {
-                  // Fuzzy overshoot: the object's snapshot was taken after
-                  // this lifecycle event, so the image already reflects it
-                  // (an incarnation's checkpoint LSN is 0 or exceeds its
-                  // create LSN — a covered create's incarnation is the
-                  // image's own).
-                  ++summary.tail_skipped;
-                  return Status::OK();
-                }
-                if (lc.kind == LifecycleRecord::Kind::kDrop) {
-                  if (ctx.Find(lc.object) == nullptr &&
-                      !ctx.Dropped(lc.object)) {
-                    const auto dit = deferred.find(lc.object);
-                    if (dit != deferred.end()) {
-                      // Drop of a lazily deferred object: it never
-                      // materializes, and its store key must die again —
-                      // the pre-crash buffered Delete may have been lost.
-                      deferred.erase(dit);
-                      ckpt_lsn.erase(lc.object);
-                      ctx.NoteStoreDead(lc.object);
-                      orphan_ok[lc.object] = true;
-                      ++summary.tail_records;
-                      return Status::OK();
-                    }
-                    // Drop of an id this restart never saw: resolves the
-                    // orphaned ops of a checkpoint-superseded incarnation.
-                    // Its store key (if any) is equally dead.
-                    orphan_ok[lc.object] = true;
-                    ctx.NoteStoreDead(lc.object);
-                    ++summary.tail_records;
-                    return Status::OK();
-                  }
-                  CCR_RETURN_IF_ERROR(ctx.ApplyDrop(lc.object));
-                  // The dropped incarnation's buffered tail is dead state:
-                  // purge it instead of replaying a partial history whose
-                  // effect the drop (or a following create's reset)
-                  // discards anyway.
-                  const auto bit = bucket_index.find(lc.object);
-                  if (bit != bucket_index.end()) {
-                    buckets[bit->second].second.clear();
-                  }
-                  ++summary.tail_records;
-                  return Status::OK();
-                }
-                // An uncovered create supersedes any parked image: the new
-                // incarnation starts fresh (its ops all carry LSNs above
-                // the stale image's, so the ckpt_lsn entry can never
-                // cover them).
-                deferred.erase(lc.object);
-                StatusOr<ReplayContext::CreateResult> created =
-                    ctx.ApplyCreate(lc.object, lc.factory);
-                if (!created.ok()) return created.status();
-                if (created->existed) {
-                  // The object already holds state (image install, or the
-                  // registered initial state): order the incarnation reset
-                  // into its bucket so it lands between the old
-                  // incarnation's records and the new one's ops.
-                  bucket_for(lc.object, created->object)
-                      .push_back(TailEntry{true, 0, lsn, OpSeq{}});
-                }
+    // Ops naming an id that is neither registered, image-installed, nor
+    // tail-created: legal only when a later `drop` record shows the whole
+    // incarnation was superseded by the checkpoint (the object was dropped
+    // before the image walk, so the image has no entry, but its pre-drop
+    // tail records survive). Tracked here and judged once the scan
+    // completes.
+    std::map<ObjectId, bool> orphan_ok;
+
+    TxnId max_txn = image.max_txn;
+    Lsn high_lsn = image.anchor;
+    CCR_RETURN_IF_ERROR(scan(
+        image.anchor,
+        [&](Lsn lsn, Journal::Entry&& entry) {
+          high_lsn = std::max(high_lsn, lsn);
+          const auto covered = [&](const ObjectId& id) {
+            const auto it = ckpt_lsn.find(id);
+            return it != ckpt_lsn.end() && lsn <= it->second;
+          };
+          if (entry.is_lifecycle) {
+            const LifecycleRecord& lc = entry.lifecycle;
+            if (covered(lc.object)) {
+              // Fuzzy overshoot: the object's snapshot was taken after this
+              // lifecycle event, so the image already reflects it (an
+              // incarnation's checkpoint LSN is 0 or exceeds its create LSN
+              // — a covered create's incarnation is the image's own).
+              ++summary.tail_skipped;
+              return Status::OK();
+            }
+            if (lc.kind == LifecycleRecord::Kind::kDrop) {
+              if (ctx.Find(lc.object) == nullptr && !ctx.Dropped(lc.object)) {
+                // Drop of an id this restart never materialized: a lazily
+                // deferred object (it never materializes) or the orphaned
+                // ops of a checkpoint-superseded incarnation. Either way its
+                // store key must die again — a pre-crash buffered Delete
+                // may have been lost.
+                if (deferred.erase(lc.object) != 0) ckpt_lsn.erase(lc.object);
+                orphan_ok[lc.object] = true;
+                ctx.NoteStoreDead(lc.object);
                 ++summary.tail_records;
                 return Status::OK();
               }
-              const Journal::CommitRecord& record = entry.commit;
-              max_txn = std::max(max_txn, record.txn);
-              for (Operation& op : entry.commit.ops) {
-                AtomicObject* obj = ctx.Find(op.object());
-                if (obj == nullptr) {
-                  const auto dit = deferred.find(op.object());
-                  if (dit != deferred.end()) {
-                    if (lsn <= dit->second->lsn) {
-                      // Covered by the parked image: skip without
-                      // materializing — the object stays deferred.
-                      ++summary.tail_skipped;
-                      continue;
-                    }
-                    StatusOr<AtomicObject*> mat = materialize(dit);
-                    if (!mat.ok()) return mat.status();
-                    obj = *mat;
-                  } else if (ctx.Dropped(op.object())) {
-                    return Status::Internal(StrFormat(
-                        "journal names object %s after its drop record",
-                        op.object().c_str()));
-                  } else {
-                    orphan_ok.try_emplace(op.object(), false);
-                    continue;
-                  }
-                }
-                if (covered(op.object())) {
-                  // The fuzzy overshoot: this object's snapshot already
-                  // includes the record even though it lies past the
-                  // anchor.
-                  ++summary.tail_skipped;
-                  continue;
-                }
-                std::vector<TailEntry>& bucket = bucket_for(op.object(), obj);
-                if (!bucket.empty() && !bucket.back().create_reset &&
-                    bucket.back().txn == record.txn &&
-                    bucket.back().lsn == lsn) {
-                  bucket.back().ops.push_back(std::move(op));
-                } else {
-                  bucket.push_back(
-                      TailEntry{false, record.txn, lsn, OpSeq{std::move(op)}});
-                }
+              CCR_RETURN_IF_ERROR(ctx.ApplyDrop(lc.object));
+              // The dropped incarnation's buffered tail is dead state: purge
+              // it instead of replaying a partial history whose effect the
+              // drop (or a following create's reset) discards anyway.
+              const auto bit = bucket_index.find(lc.object);
+              if (bit != bucket_index.end()) {
+                buckets[bit->second].second.clear();
               }
               ++summary.tail_records;
               return Status::OK();
-            },
-            &summary.scan);
-        if (!scan_status.ok()) return scan_status;
-        for (const auto& [id, ok] : orphan_ok) {
-          if (!ok) {
-            return Status::Internal(StrFormat(
-                "journal names unknown object %s — restart system does not "
-                "match the journaled one", id.c_str()));
+            }
+            // An uncovered create supersedes any parked image: the new
+            // incarnation starts fresh (its ops all carry LSNs above the
+            // stale image's, so the ckpt_lsn entry can never cover them).
+            deferred.erase(lc.object);
+            StatusOr<ReplayContext::CreateResult> created =
+                ctx.ApplyCreate(lc.object, lc.factory);
+            if (!created.ok()) return created.status();
+            if (created->existed) {
+              // The object already holds state (image install, or the
+              // registered initial state): order the incarnation reset into
+              // its bucket so it lands between the old incarnation's records
+              // and the new one's ops.
+              bucket_for(lc.object, created->object)
+                  .push_back(TailEntry{true, 0, lsn, OpSeq{}});
+            }
+            ++summary.tail_records;
+            return Status::OK();
           }
-        }
-
-        // Fan the buckets out. Each worker owns whole buckets (claimed off
-        // an atomic cursor), so a given object is replayed by exactly one
-        // thread and needs no cross-thread ordering.
-        const auto replay_bucket = [](AtomicObject* obj,
-                                      std::vector<TailEntry>& bucket) {
-          for (TailEntry& entry : bucket) {
-            if (entry.create_reset) {
-              obj->ResetForRecovery();
+          const TxnId txn = entry.commit.txn;
+          max_txn = std::max(max_txn, txn);
+          for (Operation& op : entry.commit.ops) {
+            AtomicObject* obj = ctx.Find(op.object());
+            if (obj == nullptr) {
+              const auto dit = deferred.find(op.object());
+              if (dit != deferred.end()) {
+                if (lsn <= dit->second->lsn) {
+                  // Covered by the parked image: skip without
+                  // materializing — the object stays deferred.
+                  ++summary.tail_skipped;
+                  continue;
+                }
+                StatusOr<AtomicObject*> mat = materialize(dit);
+                if (!mat.ok()) return mat.status();
+                obj = *mat;
+              } else if (ctx.Dropped(op.object())) {
+                return Status::Internal(StrFormat(
+                    "journal names object %s after its drop record",
+                    op.object().c_str()));
+              } else {
+                orphan_ok.try_emplace(op.object(), false);
+                continue;
+              }
+            }
+            if (covered(op.object())) {
+              // The fuzzy overshoot: this object's snapshot already includes
+              // the record even though it lies past the anchor.
+              ++summary.tail_skipped;
               continue;
             }
-            CCR_RETURN_IF_ERROR(
-                obj->ReplayCommitted(entry.txn, entry.ops, entry.lsn));
+            std::vector<TailEntry>& bucket = bucket_for(op.object(), obj);
+            if (!bucket.empty() && !bucket.back().create_reset &&
+                bucket.back().lsn == lsn) {
+              bucket.back().ops.push_back(std::move(op));
+            } else {
+              bucket.push_back(
+                  TailEntry{false, txn, lsn, OpSeq{std::move(op)}});
+            }
           }
+          ++summary.tail_records;
           return Status::OK();
-        };
-        const int threads = std::max(
-            1, std::min<int>(options.replay_threads,
-                             static_cast<int>(buckets.size())));
-        Status replay_status = Status::OK();
-        if (threads <= 1) {
-          for (auto& [obj, bucket] : buckets) {
-            replay_status = replay_bucket(obj, bucket);
-            if (!replay_status.ok()) break;
-          }
-        } else {
-          std::atomic<size_t> cursor{0};
-          std::mutex error_mu;
-          std::vector<std::thread> pool;
-          pool.reserve(static_cast<size_t>(threads));
-          for (int t = 0; t < threads; ++t) {
-            pool.emplace_back([&] {
-              for (;;) {
-                const size_t i =
-                    cursor.fetch_add(1, std::memory_order_relaxed);
-                if (i >= buckets.size()) return;
-                auto& [obj, bucket] = buckets[i];
-                const Status s = replay_bucket(obj, bucket);
-                if (!s.ok()) {
-                  std::lock_guard<std::mutex> lock(error_mu);
-                  if (replay_status.ok()) replay_status = s;
-                  return;
-                }
-              }
-            });
-          }
-          for (std::thread& worker : pool) worker.join();
-        }
-        if (!replay_status.ok()) return replay_status;
+        },
+        &summary.scan));
+    for (const auto& [id, ok] : orphan_ok) {
+      if (!ok) {
+        return Status::Internal(StrFormat(
+            "journal names unknown object %s — restart system does not "
+            "match the journaled one", id.c_str()));
+      }
+    }
+    CCR_RETURN_IF_ERROR(ReplayBuckets(buckets, options.replay_threads));
 
-        AdvanceTxnWatermark(max_txn);
-        summary.max_txn = max_txn;
-        summary.high_lsn = high_lsn;
-        summary.store_deferred = deferred.size();
-        return Status::OK();
-      },
-      &summary.objects_created, &summary.objects_dropped);
+    if (store_ != nullptr) {
+      // Store reconcile: re-delete the keys of every object this replay saw
+      // dropped. A pre-crash buffered Delete may have been lost; once the
+      // journal's drop record is truncated, a surviving key would resurrect
+      // the object at the next restart. Buffered is sound here too —
+      // truncation only follows a later durable checkpoint whose sync
+      // hardens this batch, and until then the journal still carries the
+      // drop record, so the next restart re-issues the Delete.
+      StoreWriteBatch batch;
+      for (const ObjectId& id : ctx.dropped()) batch.Delete(StoreObjectKey(id));
+      for (const ObjectId& id : ctx.store_dead()) {
+        if (ctx.dropped().count(id) == 0) batch.Delete(StoreObjectKey(id));
+      }
+      if (!batch.empty()) {
+        std::lock_guard<std::mutex> lock(store_mu_);
+        CCR_RETURN_IF_ERROR(
+            store_->ApplyBatch(batch, ObjectStore::Durability::kBuffered));
+      }
+    }
+
+    // Post-restart transactions must not reuse replayed ids: a reused id
+    // would journal a second commit record under an id that already has
+    // one.
+    AdvanceTxnWatermark(max_txn);
+    summary.max_txn = max_txn;
+    summary.high_lsn = high_lsn;
+    summary.store_deferred = deferred.size();
+    return Status::OK();
+  }();
+
+  if (!status.ok()) {
+    // Fail-atomicity: a half-replayed manager must not pass for a recovered
+    // one. Reset every object to its initial state while the journals are
+    // still detached, so the error path leaves exactly the "empty system" a
+    // caller can reason about (retry, or discard). Replay-created objects
+    // were never published — they die with the context.
+    for (AtomicObject* obj : objs) obj->ResetForRecovery();
+  }
+  for (size_t i = 0; i < objs.size(); ++i) {
+    objs[i]->recovery().set_journal(detached[i]);
+  }
   if (!status.ok()) return status;
+  ctx.Finalize(&summary.objects_created, &summary.objects_dropped);
   return summary;
 }
 

@@ -36,7 +36,6 @@ namespace ccr {
 class GroupCommitPipeline;
 class Journal;
 class ObjectStore;
-struct RecoveryReport;
 
 struct TxnManagerOptions {
   bool record_history = true;
@@ -45,7 +44,6 @@ struct TxnManagerOptions {
   // oracle that validates every append (see history_recorder.h).
   RecorderMode recorder_mode = RecorderMode::kSharded;
   DeadlockPolicy policy = DeadlockPolicy::kDetect;
-  WakeupMode wakeup = WakeupMode::kEventDriven;
   std::chrono::milliseconds lock_timeout{500};
   int max_retries = 1000;
   // Stripes of the object directory (power of two; 0 picks a default from
@@ -84,7 +82,7 @@ struct RestartOptions {
   bool lazy_store_install = false;
 };
 
-// What a checkpoint-aware restart found and did.
+// What a restart found and did — the same shape for every entry source.
 struct RestartSummary {
   Lsn checkpoint_anchor = 0;      // 0: no checkpoint, full replay
   size_t checkpoint_objects = 0;  // object states installed from the image
@@ -104,7 +102,9 @@ struct RestartSummary {
   // left deferred in the store (lazy_store_install).
   bool from_store = false;
   size_t store_deferred = 0;
-  SegmentScanReport scan;
+  // The journal scan's outcome (segment counts stay 0 for the in-memory
+  // and image sources).
+  RecoveryReport scan;
 };
 
 // Everything a factory must supply to instantiate one object: the ADT, its
@@ -230,37 +230,39 @@ class TxnManager {
   // drops, max stripe depth).
   DirectoryStats directory_stats() const { return directory_.stats(); }
 
-  // Crash restart: replays a journal's commit records in commit order
-  // through the objects' recovery managers, rebuilding every object's
-  // committed state. Call on a freshly built manager (same objects
-  // re-added, no live transactions). Records naming unknown objects or
+  // Crash restart. Three entry sources feed one driver: the in-memory
+  // journal (entries numbered from its base LSN), a crash image (the
+  // durable journal's post-crash bytes, scanned under the torn-tail
+  // truncation rule — mid-journal corruption is kInternal), and a
+  // segmented journal directory. Call on a freshly built manager (same
+  // objects re-added and factories registered, no live transactions —
+  // kIllegalState otherwise).
+  //
+  // The driver installs the newest checkpoint — the attached store's meta
+  // record, else (directories only) the newest intact checkpoint file —
+  // then scans only the entries past its anchor: lifecycle records
+  // re-create and drop objects through the factory registry, and commit
+  // records are bucketed per object, skipping per object what its
+  // checkpoint LSN already covers, and replayed through the objects'
+  // recovery managers fanned out over options.replay_threads. Restart cost
+  // is the post-checkpoint tail, not total history. Records naming
+  // unknown objects (unless a later drop record resolves them) or
   // operations not enabled at replay are kInternal — the journal and the
   // system configuration disagree. Journals attached to the recovery
   // managers are detached for the duration (replayed commits are already
   // durable; re-journaling them would double them).
   //
   // Fail-atomic: on any error every object is reset to its ADT's initial
-  // state — a half-replayed restart never leaks into service as a valid
-  // one. The caller may retry with a repaired journal or discard the
-  // manager.
-  Status Restart(const Journal& journal);
-
-  // Scans a crash image (the durable journal's post-crash bytes) under the
-  // torn-tail truncation rule, replaying each record as it is decoded —
-  // restart memory stays bounded by one record, not the journal.
-  // `report` (optional) receives the scan outcome. Mid-journal corruption
-  // is rejected with kInternal — a durable prefix was damaged, which
-  // truncation cannot repair honestly. Fail-atomic like Restart.
-  Status RestartFromImage(std::string_view image, RecoveryReport* report);
-
-  // Checkpoint-aware restart from a segmented journal directory: installs
-  // the newest intact checkpoint's per-object states, then replays only
-  // the records past its anchor, skipping per object what its checkpoint
-  // LSN already covers, fanned out over options.replay_threads (per-object
-  // buckets). Restart cost is the post-checkpoint tail, not total history.
-  // Fail-atomic like Restart. On success, resume journaling at
-  // summary.high_lsn + 1 (Journal::set_base_lsn, GroupCommitOptions::
-  // first_lsn, SegmentedFileSink::Open's first_lsn).
+  // state and replay-created objects are never published — a
+  // half-replayed restart never leaks into service as a valid one. The
+  // caller may retry with a repaired journal or discard the manager. On
+  // success, resume journaling at summary.high_lsn + 1
+  // (Journal::set_base_lsn, GroupCommitOptions::first_lsn,
+  // SegmentedFileSink::Open's first_lsn).
+  StatusOr<RestartSummary> Restart(const Journal& journal,
+                                   RestartOptions options = {});
+  StatusOr<RestartSummary> RestartFromImage(std::string_view image,
+                                            RestartOptions options = {});
   StatusOr<RestartSummary> RestartFromDir(const std::string& dir,
                                           RestartOptions options = {});
 
@@ -308,8 +310,8 @@ class TxnManager {
   //
   // Commit of a batch transaction journals ONE multi-object commit record
   // covering every touched object — one LSN, one frame append, one
-  // group-commit watermark wait — replayed all-or-nothing by Restart,
-  // RestartFromImage, and RestartFromDir.
+  // group-commit watermark wait — replayed all-or-nothing by every
+  // restart source.
   StatusOr<std::vector<Value>> ExecuteBatch(Transaction* txn,
                                             std::span<const BatchOp> ops);
 
@@ -358,7 +360,7 @@ class TxnManager {
   // drops retire them. Created objects stay owned here — outside the
   // directory — until Finalize, so an errored restart discards them
   // without ever publishing (the fail-atomicity guarantee extends to
-  // lifecycle). Single-threaded: RestartFromDir applies lifecycle effects
+  // lifecycle). Single-threaded: the driver applies lifecycle effects
   // during its (serial) scan, before the parallel tail fan-out.
   class ReplayContext {
    public:
@@ -378,9 +380,8 @@ class TxnManager {
       AtomicObject* object = nullptr;
       // True when the id already existed (pre-registered, or a create
       // following a drop of the same id). A create record is an
-      // incarnation boundary; the CALLER owns the reset to initial state —
-      // immediately for serial in-order replay, or ordered into the
-      // object's replay bucket for the parallel tail.
+      // incarnation boundary; the CALLER orders the reset to initial state
+      // into the object's replay bucket.
       bool existed = false;
     };
 
@@ -393,16 +394,6 @@ class TxnManager {
     // Applies a journaled `drop <id>`. kInternal when `id` is absent or
     // already dropped.
     Status ApplyDrop(const ObjectId& id);
-
-    // Replays one commit record (per-object grouping, order preserved).
-    // kInternal when it names an unknown or dropped object. `ckpt_lsn`
-    // (optional) holds per-object installed-image LSNs: ops at or below
-    // their object's image LSN are skipped (the fuzzy overshoot, counted
-    // into `skipped`) — and an op whose object has a map entry is never an
-    // unknown-object error, its image vouches for it.
-    Status ReplayCommitRecord(const Journal::CommitRecord& record, Lsn lsn,
-                              const std::map<ObjectId, Lsn>* ckpt_lsn = nullptr,
-                              size_t* skipped = nullptr);
 
     // Ids whose journaled drop was applied in this replay, and extra ids
     // the caller flagged (orphan drops): after a successful restart the
@@ -428,14 +419,18 @@ class TxnManager {
     std::set<ObjectId> store_dead_;
   };
 
-  // Shared restart plumbing: refuses live transactions, detaches journals,
-  // runs `replay` with a context over the registered objects, reattaches,
-  // and on error resets every object to its initial state (the
-  // fail-atomicity guarantee); on success finalizes lifecycle effects into
-  // (created, dropped) if the out-params are non-null.
-  Status RestartGuarded(const std::function<Status(ReplayContext&)>& replay,
-                        size_t* objects_created = nullptr,
-                        size_t* objects_dropped = nullptr);
+  // A restart entry source: visits the journal entries with LSN > after_lsn
+  // in LSN order (ForEachJournalEntry's contract), filling `report`.
+  using EntryScan = std::function<Status(
+      Lsn after_lsn, const JournalEntryFn& fn, RecoveryReport* report)>;
+
+  // The one restart driver behind Restart, RestartFromImage and
+  // RestartFromDir (see Restart for the contract). `checkpoint_dir`
+  // names where checkpoint files live when the store holds no checkpoint
+  // (empty: the store's checkpoint only).
+  StatusOr<RestartSummary> RestartFrom(const EntryScan& scan,
+                                       const std::string& checkpoint_dir,
+                                       RestartOptions options);
 
   // Instantiates an object wired to this manager (recorder shard, deadlock
   // detector registration, kill function, lock options, factory name).
@@ -459,7 +454,8 @@ class TxnManager {
   StatusOr<AtomicObject*> FaultInFromStore(const ObjectId& id);
 
   // Installs a checkpoint image's object entries into a restart (creating
-  // dyn entries through the factory registry), filling `ckpt_lsn`. With
+  // dyn entries through the factory registry), filling `ckpt_lsn` and
+  // counting each installed state into `*installed`. With
   // `deferred` non-null (lazy store restart), dyn entries for objects the
   // directory does not know are not materialized — they are parked in
   // `deferred` (still entered into `ckpt_lsn`) for on-demand install.

@@ -140,8 +140,10 @@ TEST_P(BatchTest, OneMultiObjectCommitRecord) {
   auto counters = AddCounters(&manager, GetParam(), 3);
   MemorySink sink;
   JournalWriter writer(&sink);
+  GroupCommitPipeline pipeline(&writer,
+                               GroupCommitOptions{DurabilityMode::kSync});
   Journal journal;
-  journal.set_writer(&writer);  // durable: appends assign real LSNs
+  journal.set_pipeline(&pipeline);  // durable: appends assign real LSNs
   for (AtomicObject* obj : manager.objects()) {
     obj->recovery().set_journal(&journal);
   }

@@ -34,6 +34,7 @@
 #include "sim/crash_harness.h"
 #include "txn/checkpoint.h"
 #include "txn/du_recovery.h"
+#include "txn/group_commit.h"
 #include "txn/journal_format.h"
 #include "txn/journal_io.h"
 #include "txn/txn_manager.h"
@@ -337,7 +338,7 @@ TEST(SegmentedSinkTest, RotatesTruncatesAndScansContiguously) {
 
   // Scan from scratch: every record, in LSN order.
   std::vector<Lsn> lsns;
-  SegmentScanReport report;
+  RecoveryReport report;
   ASSERT_TRUE(ForEachSegmentedRecord(
                   dir.path(), 0,
                   [&](Lsn lsn, Journal::CommitRecord&& record) {
@@ -349,7 +350,7 @@ TEST(SegmentedSinkTest, RotatesTruncatesAndScansContiguously) {
                   .ok());
   ASSERT_EQ(lsns.size(), kRecords);
   for (size_t i = 0; i < kRecords; ++i) EXPECT_EQ(lsns[i], i + 1);
-  EXPECT_EQ(report.records, kRecords);
+  EXPECT_EQ(report.records_replayed, kRecords);
   EXPECT_EQ(report.records_skipped, 0u);
   EXPECT_FALSE(report.corrupt_tail);
 
@@ -375,7 +376,7 @@ TEST(SegmentedSinkTest, RotatesTruncatesAndScansContiguously) {
 
   // Scanning for a tail the truncation already deleted must fail loudly:
   // the first surviving segment starts past after_lsn + 1.
-  SegmentScanReport gap_report;
+  RecoveryReport gap_report;
   const Status gap = ForEachSegmentedRecord(
       dir.path(), 0, [](Lsn, Journal::CommitRecord&&) { return Status::OK(); },
       &gap_report);
@@ -457,7 +458,7 @@ TEST(SegmentedSinkTest, ReopenTruncatesTornTailSoSecondScanSucceeds) {
   ASSERT_EQ(::stat(torn_path.c_str(), &torn_stat), 0);
 
   // First restart tolerates the torn tail: it is in the final segment.
-  SegmentScanReport report;
+  RecoveryReport report;
   size_t records = 0;
   ASSERT_TRUE(ForEachSegmentedRecord(
                   dir.path(), 0,
@@ -537,6 +538,7 @@ struct LifecycleWorld {
   Journal journal;
   std::unique_ptr<SegmentedFileSink> sink;
   std::unique_ptr<JournalWriter> writer;
+  std::unique_ptr<GroupCommitPipeline> pipeline;
 
   explicit LifecycleWorld(uint64_t max_segment_bytes = 160) {
     TwoObjectFactory(&manager);
@@ -547,7 +549,9 @@ struct LifecycleWorld {
     CCR_CHECK(opened.ok());
     sink = std::move(*opened);
     writer = std::make_unique<JournalWriter>(sink.get());
-    journal.set_writer(writer.get());
+    pipeline = std::make_unique<GroupCommitPipeline>(
+        writer.get(), GroupCommitOptions{DurabilityMode::kSync});
+    journal.set_pipeline(pipeline.get());
     for (AtomicObject* obj : manager.objects()) {
       obj->recovery().set_journal(&journal);
     }
@@ -635,9 +639,12 @@ TEST(RestartFromDirTest, LsnSpaceContinuesAcrossRestart) {
       SegmentedFileSink::Open(dir_ptr->path(), summary->high_lsn + 1, options);
   ASSERT_TRUE(sink2.ok());
   JournalWriter writer2(sink2->get());
+  GroupCommitOptions gc_options{DurabilityMode::kSync};
+  gc_options.first_lsn = summary->high_lsn + 1;
+  GroupCommitPipeline pipeline2(&writer2, gc_options);
   Journal journal2;
   journal2.set_base_lsn(summary->high_lsn);
-  journal2.set_writer(&writer2);
+  journal2.set_pipeline(&pipeline2);
   for (AtomicObject* obj : gen2.objects()) {
     obj->recovery().set_journal(&journal2);
   }
@@ -670,7 +677,8 @@ TEST(RestartFromDirTest, TornTailToleratedAcrossTwoRestarts) {
   const Lsn high = world.journal.high_lsn();
   // The crash: drop the writer stack, then leave a half-written record on
   // the active segment's tail.
-  world.journal.set_writer(nullptr);
+  world.journal.set_pipeline(nullptr);
+  world.pipeline.reset();
   world.writer.reset();
   world.sink.reset();
   const std::string frame = EncodeCommitRecord(DepositRecord(99, 1));
@@ -690,9 +698,12 @@ TEST(RestartFromDirTest, TornTailToleratedAcrossTwoRestarts) {
       SegmentedFileSink::Open(world.dir.path(), high + 1, options);
   ASSERT_TRUE(sink2.ok()) << sink2.status().ToString();
   JournalWriter writer2(sink2->get());
+  GroupCommitOptions gc_options{DurabilityMode::kSync};
+  gc_options.first_lsn = high + 1;
+  GroupCommitPipeline pipeline2(&writer2, gc_options);
   Journal journal2;
   journal2.set_base_lsn(high);
-  journal2.set_writer(&writer2);
+  journal2.set_pipeline(&pipeline2);
   for (AtomicObject* obj : gen2.objects()) {
     obj->recovery().set_journal(&journal2);
   }
@@ -749,7 +760,7 @@ Journal::CommitRecord AlienRecord(TxnId txn) {
 }
 
 // A journal image whose middle record names an object the restarted system
-// does not have: replay errors out after the first record already applied.
+// does not have: restart errors out after scanning the first record.
 // Fail-atomicity requires every object to come back empty — the error path
 // must not leak a half-replayed state that looks recovered.
 TEST(FailAtomicRestartTest, ErrorPathLeavesObjectsEmpty) {
@@ -764,10 +775,9 @@ TEST(FailAtomicRestartTest, ErrorPathLeavesObjectsEmpty) {
   AtomicObject* obj =
       manager.AddObject("BA", ba, MakeNrbcConflict(ba),
                         std::make_unique<UipRecovery>(ba));
-  RecoveryReport report;
-  const Status s = manager.RestartFromImage(image, &report);
-  ASSERT_EQ(s.code(), StatusCode::kInternal);
-  // The deposit of record 1 was applied before the error — it must be gone.
+  ASSERT_EQ(manager.RestartFromImage(image).status().code(),
+            StatusCode::kInternal);
+  // Nothing of record 1's deposit may survive the error.
   EXPECT_TRUE(
       obj->CommittedState()->Equals(*ba->spec().InitialState()))
       << "half-replayed state leaked: " << obj->CommittedState()->ToString();
@@ -776,20 +786,37 @@ TEST(FailAtomicRestartTest, ErrorPathLeavesObjectsEmpty) {
   // The manager is reusable: a clean image restarts fine afterwards.
   std::string clean = EncodeCommitRecord(good1);
   clean += EncodeCommitRecord(good2);
-  ASSERT_TRUE(manager.RestartFromImage(clean, &report).ok());
+  ASSERT_TRUE(manager.RestartFromImage(clean).ok());
   EXPECT_EQ(TypedSpecAutomaton<Int64State>::Unwrap(*obj->CommittedState()).v,
             57);
 }
 
 TEST(FailAtomicRestartTest, InMemoryRestartAlsoResets) {
   auto ba = MakeBankAccount();
-  Journal journal({DepositRecord(1, 50), AlienRecord(2)});
-  TxnManager manager;
-  AtomicObject* obj =
-      manager.AddObject("BA", ba, MakeNrbcConflict(ba),
-                        std::make_unique<UipRecovery>(ba));
-  ASSERT_EQ(manager.Restart(journal).code(), StatusCode::kInternal);
-  EXPECT_TRUE(obj->CommittedState()->Equals(*ba->spec().InitialState()));
+  auto set = MakeIntSet();
+  // The scan rejects the first journal (it names an unknown object). The
+  // second fails in replay itself, after record 1 was applied: record 2's
+  // withdraw cannot reproduce its journaled "ok" on a balance of 50. Either
+  // way every object must come back at its initial state, whether the
+  // buckets replay serially or in parallel.
+  const Journal alien({DepositRecord(1, 50), AlienRecord(2)});
+  const Journal stuck(
+      {Journal::CommitRecord{1, OpSeq{ba->Deposit(50), set->Insert(7)}},
+       Journal::CommitRecord{2, OpSeq{ba->WithdrawOk(1000)}}});
+  for (const Journal* journal : {&alien, &stuck}) {
+    for (int threads : {1, 4}) {
+      TxnManager manager;
+      TwoObjectFactory(&manager);
+      ASSERT_EQ(manager.Restart(*journal, {threads}).status().code(),
+                StatusCode::kInternal);
+      for (AtomicObject* obj : manager.objects()) {
+        EXPECT_TRUE(
+            obj->CommittedState()->Equals(*obj->adt().spec().InitialState()))
+            << obj->id() << " leaked " << obj->CommittedState()->ToString();
+        EXPECT_EQ(obj->last_committed_lsn(), kNoLsn) << obj->id();
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -879,8 +906,10 @@ TEST(FuzzyCheckpointTest, CheckpointsTakenUnderLoadRestartExactly) {
       SegmentedFileSink::Open(dir.path(), 1, options);
   ASSERT_TRUE(sink.ok());
   JournalWriter writer(sink->get());
+  GroupCommitPipeline pipeline(&writer,
+                               GroupCommitOptions{DurabilityMode::kSync});
   Journal journal;
-  journal.set_writer(&writer);
+  journal.set_pipeline(&pipeline);
   for (AtomicObject* obj : manager.objects()) {
     obj->recovery().set_journal(&journal);
   }

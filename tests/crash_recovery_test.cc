@@ -12,6 +12,7 @@
 #include "common/random.h"
 #include "sim/crash_harness.h"
 #include "txn/du_recovery.h"
+#include "txn/group_commit.h"
 #include "txn/journal_format.h"
 #include "txn/journal_io.h"
 #include "txn/txn_manager.h"
@@ -53,8 +54,10 @@ ScriptedRun RunScript(Method method) {
   auto ba = MakeBankAccount();
   MemorySink sink;
   JournalWriter writer(&sink);
+  GroupCommitPipeline pipeline(&writer,
+                               GroupCommitOptions{DurabilityMode::kSync});
   Journal journal;
-  journal.set_writer(&writer);
+  journal.set_pipeline(&pipeline);
   TxnManager manager;
   AtomicObject* obj = manager.AddObject("BA", ba, MakeConflict(method, ba),
                                         MakeRecovery(method, ba));
@@ -88,8 +91,10 @@ int64_t RestartBalance(Method method, std::string_view image,
   TxnManager manager;
   AtomicObject* obj = manager.AddObject("BA", ba, MakeConflict(method, ba),
                                         MakeRecovery(method, ba));
-  Status s = manager.RestartFromImage(image, report);
-  CCR_CHECK_MSG(s.ok(), "restart failed: %s", s.ToString().c_str());
+  StatusOr<RestartSummary> summary = manager.RestartFromImage(image);
+  CCR_CHECK_MSG(summary.ok(), "restart failed: %s",
+                summary.status().ToString().c_str());
+  *report = summary->scan;
   return BalanceOf(*obj->CommittedState());
 }
 
@@ -151,8 +156,7 @@ TEST_P(CrashRecoveryTest, ChecksumCorruptionSweep) {
     TxnManager manager;
     manager.AddObject("BA", ba, MakeConflict(GetParam(), ba),
                       MakeRecovery(GetParam(), ba));
-    RecoveryReport report;
-    Status s = manager.RestartFromImage(corrupted, &report);
+    const Status s = manager.RestartFromImage(corrupted).status();
     ASSERT_FALSE(s.ok()) << "mid-journal flip at " << off;
     EXPECT_EQ(s.code(), StatusCode::kInternal);
   }
@@ -215,8 +219,10 @@ TEST_P(CrashRecoveryTest, MultiObjectScriptedRestart) {
   make_system(&manager);
   MemorySink sink;
   JournalWriter writer(&sink);
+  GroupCommitPipeline pipeline(&writer,
+                               GroupCommitOptions{DurabilityMode::kSync});
   Journal journal;
-  journal.set_writer(&writer);
+  journal.set_pipeline(&pipeline);
   for (AtomicObject* obj : manager.objects()) {
     obj->recovery().set_journal(&journal);
   }
@@ -243,9 +249,10 @@ TEST_P(CrashRecoveryTest, MultiObjectScriptedRestart) {
 
   TxnManager restarted;
   make_system(&restarted);
-  RecoveryReport report;
-  ASSERT_TRUE(restarted.RestartFromImage(sink.image(), &report).ok());
-  EXPECT_EQ(report.records_replayed, journal.size());
+  const StatusOr<RestartSummary> summary =
+      restarted.RestartFromImage(sink.image());
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  EXPECT_EQ(summary->scan.records_replayed, journal.size());
   for (AtomicObject* obj : restarted.objects()) {
     EXPECT_TRUE(obj->CommittedState()->Equals(
         *manager.object(obj->id())->CommittedState()))
@@ -264,8 +271,7 @@ TEST_P(CrashRecoveryTest, RestartDoesNotReJournalAndIdsAdvance) {
                                         MakeRecovery(GetParam(), ba));
   Journal journal;
   obj->recovery().set_journal(&journal);
-  RecoveryReport report;
-  ASSERT_TRUE(manager.RestartFromImage(run.image, &report).ok());
+  ASSERT_TRUE(manager.RestartFromImage(run.image).ok());
   EXPECT_EQ(journal.size(), 0u);
   ASSERT_TRUE(manager
                   .RunTransaction([&](Transaction* txn) {
@@ -287,7 +293,8 @@ TEST_P(CrashRecoveryTest, RestartRefusesLiveTransactions) {
                     MakeRecovery(GetParam(), ba));
   auto live = manager.Begin();
   Journal empty;
-  EXPECT_EQ(manager.Restart(empty).code(), StatusCode::kIllegalState);
+  EXPECT_EQ(manager.Restart(empty).status().code(),
+            StatusCode::kIllegalState);
   ASSERT_TRUE(manager.Abort(live.get()).ok());
   EXPECT_TRUE(manager.Restart(empty).ok());
 }

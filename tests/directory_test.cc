@@ -30,7 +30,9 @@
 #include "core/commutativity.h"
 #include "core/operation.h"
 #include "sim/crash_harness.h"
+#include "store/mem_store.h"
 #include "txn/checkpoint.h"
+#include "txn/group_commit.h"
 #include "txn/journal.h"
 #include "txn/journal_format.h"
 #include "txn/journal_io.h"
@@ -352,8 +354,10 @@ TEST(LifecycleRaceTest, LazyCreatesDuringRacingCheckpointRestartExactly) {
       SegmentedFileSink::Open(dir.path(), 1);
   ASSERT_TRUE(sink.ok());
   JournalWriter writer(sink->get());
+  GroupCommitPipeline pipeline(&writer,
+                               GroupCommitOptions{DurabilityMode::kSync});
   Journal journal;
-  journal.set_writer(&writer);
+  journal.set_pipeline(&pipeline);
 
   TxnManagerOptions options;
   options.record_history = false;
@@ -446,8 +450,10 @@ TEST(DynamicRestartTest, RestartRecreatesDropsAndResetsIncarnations) {
 TEST(DynamicRestartTest, RestartFromImageRecreatesDynamicObjects) {
   MemorySink sink;
   JournalWriter writer(&sink);
+  GroupCommitPipeline pipeline(&writer,
+                               GroupCommitOptions{DurabilityMode::kSync});
   Journal journal;
-  journal.set_writer(&writer);
+  journal.set_pipeline(&pipeline);
   {
     TxnManager manager;
     RegisterCounterFactory(&manager);
@@ -457,9 +463,10 @@ TEST(DynamicRestartTest, RestartFromImageRecreatesDynamicObjects) {
 
   TxnManager restarted;
   RegisterCounterFactory(&restarted);
-  RecoveryReport report;
-  ASSERT_TRUE(restarted.RestartFromImage(sink.image(), &report).ok());
-  EXPECT_EQ(report.records_replayed, journal.size());
+  const StatusOr<RestartSummary> summary =
+      restarted.RestartFromImage(sink.image());
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  EXPECT_EQ(summary->scan.records_replayed, journal.size());
   ExpectStoryState(&restarted);
 }
 
@@ -471,8 +478,10 @@ TEST(DynamicRestartTest, RestartFromDirReplaysLifecycleAcrossCheckpoint) {
         SegmentedFileSink::Open(dir.path(), 1);
     ASSERT_TRUE(sink.ok());
     JournalWriter writer(sink->get());
+    GroupCommitPipeline pipeline(&writer,
+                                 GroupCommitOptions{DurabilityMode::kSync});
     Journal journal;
-    journal.set_writer(&writer);
+    journal.set_pipeline(&pipeline);
 
     TxnManager manager;
     RegisterCounterFactory(&manager);
@@ -529,10 +538,153 @@ TEST(DynamicRestartTest, RestartFailsAtomicallyOnUnregisteredFactory) {
   const Journal journal(std::move(entries));
 
   TxnManager restarted;  // no factory registered
-  EXPECT_EQ(restarted.Restart(journal).code(), StatusCode::kInternal);
+  EXPECT_EQ(restarted.Restart(journal).status().code(),
+            StatusCode::kInternal);
   // Fail-atomic: the half-replayed create was never published.
   EXPECT_EQ(restarted.object("X"), nullptr);
   EXPECT_TRUE(restarted.objects().empty());
+}
+
+// ---------------------------------------------------------------------------
+// Restart parity: the in-memory journal, a crash image, and the segmented
+// directory are three entry sources of one restart driver
+// ---------------------------------------------------------------------------
+
+// A fresh store holding `from`'s keys, so every restart reconciles (re-
+// deletes dropped objects' keys in) a copy of its own.
+std::unique_ptr<MemObjectStore> CopyStore(MemObjectStore* from) {
+  StoreWriteBatch batch;
+  CCR_CHECK(from->Scan([&batch](const std::string& key,
+                                const std::string& value) {
+                  batch.Put(key, value);
+                  return Status::OK();
+                })
+                .ok());
+  auto copy = std::make_unique<MemObjectStore>();
+  CCR_CHECK(copy->ApplyBatch(batch, ObjectStore::Durability::kSync).ok());
+  return copy;
+}
+
+TEST(RestartParityTest, AllThreeSourcesRestartIdentically) {
+  TempDir dir;
+  MemObjectStore store;
+  Journal journal;
+  Lsn anchor = 0;
+  {
+    SegmentedSinkOptions sink_options;
+    sink_options.max_segment_bytes = 64;  // rotate, so truncation bites
+    StatusOr<std::unique_ptr<SegmentedFileSink>> sink =
+        SegmentedFileSink::Open(dir.path(), 1, sink_options);
+    ASSERT_TRUE(sink.ok());
+    JournalWriter writer(sink->get());
+    GroupCommitPipeline pipeline(&writer,
+                                 GroupCommitOptions{DurabilityMode::kSync});
+    journal.set_pipeline(&pipeline);
+
+    TxnManager manager;
+    RegisterCounterFactory(&manager);
+    manager.set_lifecycle_journal(&journal);
+    manager.set_object_store(&store);
+    ASSERT_TRUE(manager.GetOrCreate("P", kCounterFactory).ok());
+    ASSERT_TRUE(CommitInc(&manager, "P", 5).ok());
+    ASSERT_TRUE(manager.GetOrCreate("Q", kCounterFactory).ok());
+    ASSERT_TRUE(CommitInc(&manager, "Q", 2).ok());
+
+    // Part-way store checkpoint. One commit lands between the anchor read
+    // and the object walk, so P's image overshoots the anchor — the fuzzy
+    // case every source must skip alike.
+    anchor = journal.high_lsn();
+    ASSERT_TRUE(CommitInc(&manager, "P", 1).ok());
+    CheckpointerOptions ckpt_options;
+    ckpt_options.store = &store;
+    Checkpointer checkpointer(dir.path(), ckpt_options);
+    ASSERT_TRUE(checkpointer.Write(&manager, anchor).ok());
+    ASSERT_TRUE((*sink)->TruncateBelow(anchor).ok());
+
+    // The tail: drop and re-create Q, one multi-object batch commit that
+    // also creates R, and S created then dropped for good.
+    ASSERT_TRUE(manager.DropObject("Q").ok());
+    ASSERT_TRUE(manager.GetOrCreate("Q", kCounterFactory).ok());
+    ASSERT_TRUE(CommitInc(&manager, "Q", 9).ok());
+    const std::shared_ptr<Transaction> txn = manager.Begin();
+    const std::vector<BatchOp> ops = {{"P", kCounterFactory, IncInv("P", 3)},
+                                      {"Q", kCounterFactory, IncInv("Q", 4)},
+                                      {"R", kCounterFactory, IncInv("R", 6)}};
+    ASSERT_TRUE(manager.ExecuteBatch(txn.get(), ops).ok());
+    ASSERT_TRUE(manager.Commit(txn.get()).ok());
+    ASSERT_TRUE(manager.GetOrCreate("S", kCounterFactory).ok());
+    ASSERT_TRUE(CommitInc(&manager, "S", 1).ok());
+    ASSERT_TRUE(manager.DropObject("S").ok());
+    journal.set_pipeline(nullptr);
+  }
+  std::string image;
+  for (const Journal::Entry& entry : journal.Entries()) {
+    image += EncodeEntryRecord(entry);
+  }
+
+  // The store outlives its manager (declared first, destroyed last).
+  struct Restarted {
+    std::unique_ptr<MemObjectStore> store;
+    std::unique_ptr<TxnManager> manager;
+    RestartSummary summary;
+  };
+  const char* const kSources[] = {"journal", "image", "dir"};
+  std::vector<Restarted> runs;
+  for (int threads : {1, 4}) {
+    for (int source = 0; source < 3; ++source) {
+      SCOPED_TRACE(std::string(kSources[source]) + " x" +
+                   std::to_string(threads));
+      Restarted run;
+      run.store = CopyStore(&store);
+      run.manager = std::make_unique<TxnManager>();
+      RegisterCounterFactory(run.manager.get());
+      run.manager->set_object_store(run.store.get());
+      const RestartOptions options{threads};
+      const StatusOr<RestartSummary> summary =
+          source == 0   ? run.manager->Restart(journal, options)
+          : source == 1 ? run.manager->RestartFromImage(image, options)
+                        : run.manager->RestartFromDir(dir.path(), options);
+      ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+      run.summary = *summary;
+      runs.push_back(std::move(run));
+    }
+  }
+
+  const Restarted& base = runs.front();
+  EXPECT_TRUE(base.summary.from_store);
+  EXPECT_EQ(base.summary.checkpoint_anchor, anchor);
+  EXPECT_EQ(base.summary.high_lsn, journal.high_lsn());
+  EXPECT_GE(base.summary.tail_skipped, 1u);     // P's overshoot
+  EXPECT_EQ(base.summary.objects_dropped, 1u);  // S
+  EXPECT_EQ(ReadCounter(base.manager.get(), "P"), 5 + 1 + 3);
+  EXPECT_EQ(ReadCounter(base.manager.get(), "Q"), 9 + 4);
+  EXPECT_EQ(ReadCounter(base.manager.get(), "R"), 6);
+  EXPECT_EQ(base.manager->object("S"), nullptr);
+
+  for (size_t i = 1; i < runs.size(); ++i) {
+    SCOPED_TRACE(std::string(kSources[i % 3]) + " x" +
+                 std::to_string(i < 3 ? 1 : 4));
+    const RestartSummary& a = base.summary;
+    const RestartSummary& b = runs[i].summary;
+    EXPECT_EQ(b.checkpoint_anchor, a.checkpoint_anchor);
+    EXPECT_EQ(b.tail_records, a.tail_records);
+    EXPECT_EQ(b.tail_skipped, a.tail_skipped);
+    EXPECT_EQ(b.objects_created, a.objects_created);
+    EXPECT_EQ(b.objects_dropped, a.objects_dropped);
+    EXPECT_EQ(b.high_lsn, a.high_lsn);
+    EXPECT_EQ(b.max_txn, a.max_txn);
+
+    const std::vector<AtomicObject*> want = base.manager->objects();
+    const std::vector<AtomicObject*> got = runs[i].manager->objects();
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t k = 0; k < want.size(); ++k) {
+      ASSERT_EQ(got[k]->id(), want[k]->id());
+      EXPECT_TRUE(got[k]->CommittedState()->Equals(*want[k]->CommittedState()))
+          << want[k]->id();
+      EXPECT_EQ(got[k]->last_committed_lsn(), want[k]->last_committed_lsn())
+          << want[k]->id();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

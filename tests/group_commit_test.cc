@@ -214,9 +214,10 @@ TEST(GroupCommitTest, ConflictingExecuteProceedsDuringGroupSync) {
   auto rrw = MakeBankAccount("RW");
   restarted.AddObject("RW", rrw, MakeReadWriteConflict(rrw),
                       std::make_unique<UipRecovery>(rrw));
-  RecoveryReport report;
-  ASSERT_TRUE(restarted.RestartFromImage(sink.image(), &report).ok());
-  EXPECT_EQ(report.records_replayed, 2u);
+  const StatusOr<RestartSummary> summary =
+      restarted.RestartFromImage(sink.image());
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  EXPECT_EQ(summary->scan.records_replayed, 2u);
   EXPECT_EQ(BalanceOf(*restarted.object("RW")->CommittedState()), 30);
 }
 
@@ -276,9 +277,10 @@ TEST(GroupCommitTest, ConcurrentCommittersShareSyncs) {
   auto rba = MakeBankAccount();
   restarted.AddObject("BA", rba, MakeNrbcConflict(rba),
                       std::make_unique<UipRecovery>(rba));
-  RecoveryReport report;
-  ASSERT_TRUE(restarted.RestartFromImage(sink.image(), &report).ok());
-  EXPECT_EQ(report.records_replayed, kTotal);
+  const StatusOr<RestartSummary> summary =
+      restarted.RestartFromImage(sink.image());
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  EXPECT_EQ(summary->scan.records_replayed, kTotal);
   EXPECT_EQ(BalanceOf(*restarted.object("BA")->CommittedState()),
             static_cast<int64_t>(kTotal));
 }
@@ -315,8 +317,7 @@ TEST(GroupCommitTest, BatchedImageCorruptionContract) {
     auto rba = MakeBankAccount();
     restarted.AddObject("BA", rba, MakeNrbcConflict(rba),
                         std::make_unique<UipRecovery>(rba));
-    RecoveryReport report;
-    EXPECT_EQ(restarted.RestartFromImage(flipped, &report).code(),
+    EXPECT_EQ(restarted.RestartFromImage(flipped).status().code(),
               StatusCode::kInternal);
   }
 }

@@ -31,6 +31,7 @@
 #include "store/object_store.h"
 #include "txn/checkpoint.h"
 #include "txn/du_recovery.h"
+#include "txn/group_commit.h"
 #include "txn/journal_io.h"
 #include "txn/txn_manager.h"
 #include "txn/uip_recovery.h"
@@ -638,6 +639,7 @@ struct DurableWorld {
   Journal journal;
   std::unique_ptr<SegmentedFileSink> sink;
   std::unique_ptr<JournalWriter> writer;
+  std::unique_ptr<GroupCommitPipeline> pipeline;
 
   DurableWorld() {
     RegisterCounterFactory(&manager);
@@ -653,7 +655,9 @@ struct DurableWorld {
     CCR_CHECK(opened.ok());
     sink = std::move(*opened);
     writer = std::make_unique<JournalWriter>(sink.get());
-    journal.set_writer(writer.get());
+    pipeline = std::make_unique<GroupCommitPipeline>(
+        writer.get(), GroupCommitOptions{DurabilityMode::kSync});
+    journal.set_pipeline(pipeline.get());
     manager.set_lifecycle_journal(&journal);
   }
 
@@ -816,13 +820,15 @@ void StoreSweepUipFactory(TxnManager* manager) {
                      std::make_unique<UipRecovery>(set));
 }
 
+// DU needs NFC (the paper's pairing); under NRBC two withdraws can both
+// respond "ok" against the same base and one then sticks at commit.
 void StoreSweepDuFactory(TxnManager* manager) {
   RegisterCounterFactory(manager);
   auto ba = MakeBankAccount();
   auto set = MakeIntSet();
-  manager->AddObject("BA", ba, MakeNrbcConflict(ba),
+  manager->AddObject("BA", ba, MakeNfcConflict(ba),
                      std::make_unique<DuRecovery>(ba));
-  manager->AddObject("SET", set, MakeNrbcConflict(set),
+  manager->AddObject("SET", set, MakeNfcConflict(set),
                      std::make_unique<DuRecovery>(set));
 }
 

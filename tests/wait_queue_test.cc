@@ -168,32 +168,6 @@ TEST(WaitQueueTest, QueueDrainsManyWaiters) {
   EXPECT_GE(stats.wakeups, static_cast<uint64_t>(kWaiters));
 }
 
-// The polling baseline (kept for bench_wait_queue) must still be correct.
-TEST(WaitQueueTest, PollingModeStillCorrect) {
-  constexpr int kThreads = 4;
-  constexpr int kTxns = 25;
-  TxnManagerOptions options;
-  options.wakeup = WakeupMode::kPolling;
-  options.record_history = false;
-  options.lock_timeout = milliseconds(5000);
-  TxnManager manager(options);
-  auto ctr = AddCounter(&manager);
-
-  std::vector<std::thread> workers;
-  for (int w = 0; w < kThreads; ++w) {
-    workers.emplace_back([&] {
-      for (int i = 0; i < kTxns; ++i) {
-        Status s = manager.RunTransaction([&](Transaction* txn) {
-          return manager.Execute(txn, ctr->IncInv(1)).status();
-        });
-        EXPECT_TRUE(s.ok()) << s.ToString();
-      }
-    });
-  }
-  for (std::thread& t : workers) t.join();
-  EXPECT_EQ(CommittedValue(&manager, "CTR"), kThreads * kTxns);
-}
-
 // --- commit/kill arbitration -------------------------------------------
 
 TEST(CommitKillRaceTest, ArbitrationIsExclusive) {

@@ -22,6 +22,10 @@ echo "==> restart smoke: checkpoint + tail replay audit (bench_journal)"
 cmake --build --preset default -j "${JOBS}" --target bench_journal
 ./build/bench/bench_journal --restart-smoke
 
+echo "==> codec microbenchmarks: journal/checkpoint decode + frame CRC (bench_codec, short pass)"
+cmake --build --preset default -j "${JOBS}" --target bench_codec
+./build/bench/bench_codec --benchmark_min_time=0.01
+
 echo "==> directory stress: 100k-object create/drop/lookup race (bench_directory)"
 cmake --build --preset default -j "${JOBS}" --target bench_directory
 ./build/bench/bench_directory --stress-smoke

@@ -54,65 +54,6 @@ std::vector<std::string_view> SplitTokens(std::string_view encoded) {
   return out;
 }
 
-namespace {
-
-bool NeedsEscape(char c) {
-  // Escape the escape char itself, every control byte (NUL through 0x1f —
-  // a raw NUL would truncate any later c_str()-based formatting, and \n
-  // would break the one-state-per-line checkpoint format), space (the
-  // token separator), and DEL. High bytes (UTF-8) pass through raw.
-  const unsigned char u = static_cast<unsigned char>(c);
-  return c == '%' || u <= 0x20 || u == 0x7f;
-}
-
-int HexDigit(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
-
-}  // namespace
-
-std::string EscapeToken(std::string_view raw) {
-  if (raw.empty()) return "%";  // lone '%': the empty-string sentinel
-  std::string out;
-  out.reserve(raw.size());
-  for (const char c : raw) {
-    if (NeedsEscape(c)) {
-      out += StrFormat("%%%02x", static_cast<unsigned char>(c));
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-StatusOr<std::string> UnescapeToken(std::string_view token) {
-  if (token == "%") return std::string();
-  std::string out;
-  out.reserve(token.size());
-  for (size_t i = 0; i < token.size(); ++i) {
-    if (token[i] != '%') {
-      out += token[i];
-      continue;
-    }
-    if (i + 2 >= token.size()) {
-      return Status::InvalidArgument("truncated escape in token: " +
-                                     std::string(token));
-    }
-    const int hi = HexDigit(token[i + 1]);
-    const int lo = HexDigit(token[i + 2]);
-    if (hi < 0 || lo < 0) {
-      return Status::InvalidArgument("bad escape in token: " +
-                                     std::string(token));
-    }
-    out += static_cast<char>(hi * 16 + lo);
-    i += 2;
-  }
-  return out;
-}
-
 StatusOr<int64_t> ParseInt64Token(std::string_view token) {
   const std::string buf(token);
   errno = 0;

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/string_util.h"  // EscapeToken / UnescapeToken (KV keys)
 
 namespace ccr {
 
@@ -30,13 +31,6 @@ StatusOr<std::vector<int64_t>> DecodeInt64List(std::string_view encoded);
 std::vector<std::string_view> SplitTokens(std::string_view encoded);
 
 StatusOr<int64_t> ParseInt64Token(std::string_view token);
-
-// Percent-escapes a raw byte string into a single space-free, newline-free,
-// control-byte-free token (used for KV keys). Empty strings encode to the
-// sentinel "%"; NUL and other control bytes become %hh escapes so tokens
-// survive c_str()-based formatting and the one-line-per-state file format.
-std::string EscapeToken(std::string_view raw);
-StatusOr<std::string> UnescapeToken(std::string_view token);
 
 }  // namespace ccr
 

@@ -33,6 +33,96 @@ std::string StrJoin(const std::vector<std::string>& parts,
   return out;
 }
 
+bool NextLine(std::string_view* rest, std::string_view* line) {
+  if (rest->empty()) return false;
+  const size_t nl = rest->find('\n');
+  if (nl == std::string_view::npos) {
+    *line = *rest;
+    *rest = std::string_view();
+  } else {
+    *line = rest->substr(0, nl);
+    rest->remove_prefix(nl + 1);
+  }
+  return true;
+}
+
+bool NextToken(std::string_view* rest, std::string_view* token) {
+  size_t begin = 0;
+  while (begin < rest->size() && IsAsciiSpace((*rest)[begin])) ++begin;
+  size_t end = begin;
+  while (end < rest->size() && !IsAsciiSpace((*rest)[end])) ++end;
+  *token = rest->substr(begin, end - begin);
+  rest->remove_prefix(end);
+  return end > begin;
+}
+
+namespace {
+
+bool NeedsEscape(char c) {
+  // Escape the escape char itself, every control byte (NUL through 0x1f —
+  // a raw NUL would truncate any later c_str()-based formatting, and \n
+  // would break the one-record-per-line formats), space (the token
+  // separator), and DEL. High bytes (UTF-8) pass through raw.
+  const unsigned char u = static_cast<unsigned char>(c);
+  return c == '%' || u <= 0x20 || u == 0x7f;
+}
+
+int HexDigit(char c) {
+  if (c >= '0' && c <= '9') return c - '0';
+  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+  return -1;
+}
+
+}  // namespace
+
+void AppendEscaped(std::string* out, std::string_view raw) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  size_t clean = 0;  // start of the pending run of bytes that pass raw
+  for (size_t i = 0; i < raw.size(); ++i) {
+    if (!NeedsEscape(raw[i])) continue;
+    out->append(raw.data() + clean, i - clean);
+    const unsigned char u = static_cast<unsigned char>(raw[i]);
+    const char escape[3] = {'%', kHex[u >> 4], kHex[u & 0xf]};
+    out->append(escape, sizeof(escape));
+    clean = i + 1;
+  }
+  out->append(raw.data() + clean, raw.size() - clean);
+}
+
+std::string EscapeToken(std::string_view raw) {
+  if (raw.empty()) return "%";  // lone '%': the empty-string sentinel
+  std::string out;
+  out.reserve(raw.size());
+  AppendEscaped(&out, raw);
+  return out;
+}
+
+StatusOr<std::string> UnescapeToken(std::string_view token) {
+  if (token == "%") return std::string();
+  std::string out;
+  out.reserve(token.size());
+  for (size_t i = 0; i < token.size(); ++i) {
+    if (token[i] != '%') {
+      out += token[i];
+      continue;
+    }
+    if (i + 2 >= token.size()) {
+      return Status::InvalidArgument("truncated escape in token: " +
+                                     std::string(token));
+    }
+    const int hi = HexDigit(token[i + 1]);
+    const int lo = HexDigit(token[i + 2]);
+    if (hi < 0 || lo < 0) {
+      return Status::InvalidArgument("bad escape in token: " +
+                                     std::string(token));
+    }
+    out += static_cast<char>(hi * 16 + lo);
+    i += 2;
+  }
+  return out;
+}
+
 TablePrinter::TablePrinter(std::vector<std::string> header)
     : header_(std::move(header)) {}
 

@@ -2,6 +2,8 @@
 
 #include "core/history_io.h"
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -18,34 +20,67 @@ std::string SerializeValue(const Value& value) {
   return "s:" + value.AsString();
 }
 
-StatusOr<Value> ParseValue(const std::string& token) {
-  if (token.size() < 2 || token[1] != ':') {
-    return Status::InvalidArgument("malformed value literal: " + token);
+namespace {
+
+// strtoll(body.c_str(), &end, 10) accepted iff it consumed the whole C
+// string without overflow — the int literals ParseValue has always taken.
+bool ParseIntBody(std::string_view body, int64_t* out) {
+  if (body.empty()) return false;
+  body = body.substr(0, body.find('\0'));  // the C string ends at a NUL
+  size_t i = 0;
+  while (i < body.size() && IsAsciiSpace(body[i])) ++i;
+  const bool negative = i < body.size() && body[i] == '-';
+  if (i < body.size() && (body[i] == '-' || body[i] == '+')) ++i;
+  if (i == body.size() || body[i] < '0' || body[i] > '9') {
+    // No conversion: strtoll leaves `end` at the start of the C string,
+    // which is its terminator only when the string is empty.
+    *out = 0;
+    return body.empty();
   }
-  const std::string body = token.substr(2);
+  uint64_t magnitude = 0;
+  if (!ParseDecimal(body.substr(i), &magnitude)) return false;
+  const uint64_t limit =
+      static_cast<uint64_t>(std::numeric_limits<int64_t>::max()) +
+      (negative ? 1 : 0);
+  if (magnitude > limit) return false;
+  *out = negative ? static_cast<int64_t>(0 - magnitude)
+                  : static_cast<int64_t>(magnitude);
+  return true;
+}
+
+}  // namespace
+
+StatusOr<Value> ParseValue(std::string_view token) {
+  if (token.size() < 2 || token[1] != ':') {
+    return Status::InvalidArgument("malformed value literal: " +
+                                   std::string(token));
+  }
+  const std::string_view body = token.substr(2);
   switch (token[0]) {
     case 'u':
       if (!body.empty()) {
-        return Status::InvalidArgument("unit literal with payload: " + token);
+        return Status::InvalidArgument("unit literal with payload: " +
+                                       std::string(token));
       }
       return Value::MakeUnit();
     case 'i': {
-      errno = 0;
-      char* end = nullptr;
-      const long long v = std::strtoll(body.c_str(), &end, 10);
-      if (body.empty() || *end != '\0' || errno != 0) {
-        return Status::InvalidArgument("bad int literal: " + token);
+      int64_t v = 0;
+      if (!ParseIntBody(body, &v)) {
+        return Status::InvalidArgument("bad int literal: " +
+                                       std::string(token));
       }
-      return Value(static_cast<int64_t>(v));
+      return Value(v);
     }
     case 'b':
       if (body == "true") return Value(true);
       if (body == "false") return Value(false);
-      return Status::InvalidArgument("bad bool literal: " + token);
+      return Status::InvalidArgument("bad bool literal: " +
+                                     std::string(token));
     case 's':
-      return Value(body);
+      return Value(std::string(body));
     default:
-      return Status::InvalidArgument("unknown value tag: " + token);
+      return Status::InvalidArgument("unknown value tag: " +
+                                     std::string(token));
   }
 }
 

@@ -17,6 +17,7 @@
 #define CCR_CORE_HISTORY_IO_H_
 
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "core/history.h"
@@ -30,9 +31,15 @@ std::string SerializeHistory(const History& history);
 // is a real History). Errors carry the offending line number.
 StatusOr<History> ParseHistory(const std::string& text);
 
-// Typed-literal encoding of one value (i:/s:/b:/u:).
+// Typed-literal encoding of one value (i:/s:/b:/u:). String bodies are
+// raw: callers that frame literals as whitespace-delimited tokens escape
+// them (the wire codec escapes whole literals, the journal string bodies).
 std::string SerializeValue(const Value& value);
-StatusOr<Value> ParseValue(const std::string& token);
+
+// Inverse of SerializeValue. An int body follows strtoll over its C
+// string: it ends at the first NUL, may lead with C-locale whitespace and
+// a sign, and must not overflow int64.
+StatusOr<Value> ParseValue(std::string_view token);
 
 }  // namespace ccr
 

@@ -42,14 +42,10 @@ Status TakeFrame(std::string_view buffer, std::string_view* payload,
 
 StatusOr<uint64_t> ParseU64(std::string_view token, const char* what) {
   uint64_t v = 0;
-  if (token.empty()) return Status::InvalidArgument(StrFormat("empty %s", what));
-  for (char c : token) {
-    if (c < '0' || c > '9') {
-      return Status::InvalidArgument(
-          StrFormat("bad %s: %.*s", what, static_cast<int>(token.size()),
-                    token.data()));
-    }
-    v = v * 10 + static_cast<uint64_t>(c - '0');
+  if (!ParseDecimal(token, &v)) {
+    return Status::InvalidArgument(
+        StrFormat("bad %s: %.*s", what, static_cast<int>(token.size()),
+                  token.data()));
   }
   return v;
 }

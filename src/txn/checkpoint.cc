@@ -8,12 +8,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
-#include <sstream>
 #include <utility>
 #include <vector>
 
 #include "common/string_util.h"
 #include "core/adt.h"
+#include "txn/journal_format.h"
 #include "txn/txn_manager.h"
 
 namespace ccr {
@@ -24,18 +24,13 @@ constexpr std::string_view kCheckpointTmp = "checkpoint.tmp";
 
 // Parses "checkpoint.<digits>" into its anchor; nullopt for other names
 // (including checkpoint.tmp).
-std::optional<Lsn> ParseCheckpointAnchor(const std::string& name) {
-  if (name.size() <= kCheckpointPrefix.size() ||
-      std::string_view(name).substr(0, kCheckpointPrefix.size()) !=
-          kCheckpointPrefix) {
+std::optional<Lsn> ParseCheckpointAnchor(std::string_view name) {
+  Lsn anchor = 0;
+  if (name.substr(0, kCheckpointPrefix.size()) != kCheckpointPrefix ||
+      !ParseDecimal(name.substr(kCheckpointPrefix.size()), &anchor)) {
     return std::nullopt;
   }
-  const std::string digits = name.substr(kCheckpointPrefix.size());
-  if (digits.empty() ||
-      digits.find_first_not_of("0123456789") != std::string::npos) {
-    return std::nullopt;
-  }
-  return static_cast<Lsn>(std::strtoull(digits.c_str(), nullptr, 10));
+  return anchor;
 }
 
 // Checkpoint files of `dir`, newest (highest anchor) first.
@@ -64,16 +59,40 @@ bool CrashFires(CrashPoints* crash, std::string_view point) {
   return crash != nullptr && crash->Hit(point);
 }
 
+// Splits `*rest` at its next space: `*field` receives the non-empty bytes
+// before it. False when no space follows or the field would be empty.
+bool NextField(std::string_view* rest, std::string_view* field) {
+  const size_t end = rest->find(' ');
+  if (end == std::string_view::npos || end == 0) return false;
+  *field = rest->substr(0, end);
+  rest->remove_prefix(end + 1);
+  return true;
+}
+
+// "<tag> <u64> <u64>", nothing after — the checkpoint and store meta
+// headers.
+bool ParseHeader(std::string_view line, std::string_view tag, Lsn* anchor,
+                 TxnId* max_txn) {
+  std::string_view token, anchor_token, max_token;
+  return NextToken(&line, &token) && token == tag &&
+         NextToken(&line, &anchor_token) &&
+         ParseDecimal(anchor_token, anchor) &&
+         NextToken(&line, &max_token) && ParseDecimal(max_token, max_txn) &&
+         line.empty();
+}
+
 }  // namespace
 
 std::string EncodeCheckpointPayload(const CheckpointImage& image) {
   // Built with raw appends, never %s/c_str(): the encoded state is opaque
   // codec output, and a c_str()-based format truncates it at the first NUL
   // byte — producing a frame whose CRC is valid but whose payload silently
-  // lost state. (The decoder's getline is NUL-transparent already.)
-  std::string out = StrFormat(
-      "ckpt %llu %llu\n", static_cast<unsigned long long>(image.anchor),
-      static_cast<unsigned long long>(image.max_txn));
+  // lost state. (The decoder is NUL-transparent too.)
+  std::string out = "ckpt ";
+  AppendDecimal(&out, image.anchor);
+  out += ' ';
+  AppendDecimal(&out, image.max_txn);
+  out += '\n';
   for (const CheckpointImage::ObjectEntry& entry : image.objects) {
     if (entry.factory.empty()) {
       out += "obj ";
@@ -85,7 +104,7 @@ std::string EncodeCheckpointPayload(const CheckpointImage& image) {
       out += entry.factory;
     }
     out += ' ';
-    out += StrFormat("%llu", static_cast<unsigned long long>(entry.lsn));
+    AppendDecimal(&out, entry.lsn);
     out += ' ';
     out += entry.encoded;
     out += '\n';
@@ -94,60 +113,46 @@ std::string EncodeCheckpointPayload(const CheckpointImage& image) {
 }
 
 StatusOr<CheckpointImage> DecodeCheckpointPayload(std::string_view payload) {
-  std::istringstream lines{std::string(payload)};
-  std::string line;
-  if (!std::getline(lines, line)) {
+  std::string_view line;
+  if (!NextLine(&payload, &line)) {
     return Status::Internal("empty checkpoint payload");
   }
   CheckpointImage image;
-  {
-    unsigned long long anchor = 0, max_txn = 0;
-    char trailing = 0;
-    if (std::sscanf(line.c_str(), "ckpt %llu %llu%c", &anchor, &max_txn,
-                    &trailing) != 2) {
-      return Status::Internal("checkpoint payload must start 'ckpt "
-                              "<anchor> <max_txn>'");
-    }
-    image.anchor = static_cast<Lsn>(anchor);
-    image.max_txn = static_cast<TxnId>(max_txn);
+  if (!ParseHeader(line, "ckpt", &image.anchor, &image.max_txn)) {
+    return Status::Internal("checkpoint payload must start 'ckpt "
+                            "<anchor> <max_txn>'");
   }
-  while (std::getline(lines, line)) {
+  image.objects.reserve(static_cast<size_t>(
+      std::count(payload.begin(), payload.end(), '\n')));
+  while (NextLine(&payload, &line)) {
     if (line.empty()) continue;
     // "obj <id> <lsn> <encoded>" / "dyn <id> <factory> <lsn> <encoded>":
     // encoded is everything after the last header token and may be empty.
-    const bool dynamic = line.rfind("dyn ", 0) == 0;
-    if (!dynamic && line.rfind("obj ", 0) != 0) {
-      return Status::Internal("malformed checkpoint line: " + line);
+    const std::string_view kind = line.substr(0, 4);
+    const bool dynamic = kind == "dyn ";
+    if (!dynamic && kind != "obj ") {
+      return Status::Internal("malformed checkpoint line: " +
+                              std::string(line));
     }
-    CheckpointImage::ObjectEntry entry;
-    size_t pos = 4;
-    const size_t id_end = line.find(' ', pos);
-    if (id_end == std::string::npos || id_end == pos) {
-      return Status::Internal("checkpoint obj line missing id: " + line);
+    std::string_view rest = line.substr(4);
+    std::string_view id, factory, lsn_token;
+    if (!NextField(&rest, &id) || !IsJournalName(id)) {
+      return Status::Internal("checkpoint obj line missing id: " +
+                              std::string(line));
     }
-    entry.id = line.substr(pos, id_end - pos);
-    pos = id_end + 1;
-    if (dynamic) {
-      const size_t factory_end = line.find(' ', pos);
-      if (factory_end == std::string::npos || factory_end == pos) {
-        return Status::Internal("checkpoint dyn line missing factory: " +
-                                line);
-      }
-      entry.factory = line.substr(pos, factory_end - pos);
-      pos = factory_end + 1;
+    if (dynamic && (!NextField(&rest, &factory) || !IsJournalName(factory))) {
+      return Status::Internal("checkpoint dyn line missing factory: " +
+                              std::string(line));
     }
-    const size_t lsn_end = line.find(' ', pos);
-    if (lsn_end == std::string::npos) {
-      return Status::Internal("checkpoint obj line missing state: " + line);
+    CheckpointImage::ObjectEntry& entry = image.objects.emplace_back();
+    if (!NextField(&rest, &lsn_token) ||
+        !ParseDecimal(lsn_token, &entry.lsn)) {
+      return Status::Internal("checkpoint obj line has bad LSN or no "
+                              "state: " + std::string(line));
     }
-    const std::string lsn_token = line.substr(pos, lsn_end - pos);
-    if (lsn_token.empty() ||
-        lsn_token.find_first_not_of("0123456789") != std::string::npos) {
-      return Status::Internal("checkpoint obj line has bad LSN: " + line);
-    }
-    entry.lsn = static_cast<Lsn>(std::strtoull(lsn_token.c_str(), nullptr, 10));
-    entry.encoded = line.substr(lsn_end + 1);
-    image.objects.push_back(std::move(entry));
+    entry.id = ObjectId(id);
+    entry.factory = std::string(factory);
+    entry.encoded = std::string(rest);
   }
   return image;
 }
@@ -164,7 +169,7 @@ std::string EncodeStoreObjectValue(Lsn lsn, const std::string& factory,
                                    const std::string& encoded) {
   // Raw appends for the same NUL-transparency reason as the file payload.
   std::string out = "img ";
-  out += StrFormat("%llu", static_cast<unsigned long long>(lsn));
+  AppendDecimal(&out, lsn);
   out += ' ';
   if (factory.empty()) {
     out += '-';
@@ -182,43 +187,33 @@ StatusOr<CheckpointImage::ObjectEntry> DecodeStoreObjectValue(
   if (value.substr(0, kImgPrefix.size()) != kImgPrefix) {
     return Status::Internal("store object value missing 'img' header");
   }
-  size_t pos = kImgPrefix.size();
-  const size_t lsn_end = value.find(' ', pos);
-  if (lsn_end == std::string_view::npos || lsn_end == pos) {
-    return Status::Internal("store object value missing LSN");
-  }
-  const std::string lsn_token(value.substr(pos, lsn_end - pos));
-  if (lsn_token.find_first_not_of("0123456789") != std::string::npos) {
-    return Status::Internal("store object value has bad LSN: " + lsn_token);
-  }
+  std::string_view rest = value.substr(kImgPrefix.size());
+  std::string_view lsn_token, factory;
   CheckpointImage::ObjectEntry entry;
-  entry.lsn = static_cast<Lsn>(std::strtoull(lsn_token.c_str(), nullptr, 10));
-  pos = lsn_end + 1;
-  const size_t factory_end = value.find(' ', pos);
-  if (factory_end == std::string_view::npos || factory_end == pos) {
+  if (!NextField(&rest, &lsn_token) || !ParseDecimal(lsn_token, &entry.lsn)) {
+    return Status::Internal("store object value has a bad or missing LSN");
+  }
+  if (!NextField(&rest, &factory)) {
     return Status::Internal("store object value missing factory token");
   }
-  std::string factory(value.substr(pos, factory_end - pos));
-  if (factory != "-") entry.factory = std::move(factory);
-  entry.encoded = std::string(value.substr(factory_end + 1));
+  if (factory != "-") entry.factory = std::string(factory);
+  entry.encoded = std::string(rest);
   return entry;
 }
 
 std::string EncodeStoreMetaValue(Lsn anchor, TxnId max_txn) {
-  return StrFormat("meta %llu %llu", static_cast<unsigned long long>(anchor),
-                   static_cast<unsigned long long>(max_txn));
+  std::string out = "meta ";
+  AppendDecimal(&out, anchor);
+  out += ' ';
+  AppendDecimal(&out, max_txn);
+  return out;
 }
 
 Status DecodeStoreMetaValue(std::string_view value, CheckpointImage* image) {
-  unsigned long long anchor = 0, max_txn = 0;
-  char trailing = 0;
-  if (std::sscanf(std::string(value).c_str(), "meta %llu %llu%c", &anchor,
-                  &max_txn, &trailing) != 2) {
+  if (!ParseHeader(value, "meta", &image->anchor, &image->max_txn)) {
     return Status::Internal(
         "store meta value must be 'meta <anchor> <max_txn>'");
   }
-  image->anchor = static_cast<Lsn>(anchor);
-  image->max_txn = static_cast<TxnId>(max_txn);
   return Status::OK();
 }
 
@@ -277,14 +272,14 @@ StatusOr<Lsn> Checkpointer::Write(TxnManager* manager, Lsn anchor) {
           "object %s's ADT %s has no state codec — cannot checkpoint",
           obj->id().c_str(), obj->adt().name().c_str()));
     }
-    if (obj->id().find_first_of(" \n\r\t") != std::string::npos) {
+    if (!IsJournalName(obj->id())) {
       return Status::InvalidArgument(StrFormat(
-          "object id '%s' contains whitespace — not checkpointable",
+          "object id '%s' is not a journal name — not checkpointable",
           obj->id().c_str()));
     }
-    if (obj->factory_name().find_first_of(" \n\r\t") != std::string::npos) {
+    if (!obj->factory_name().empty() && !IsJournalName(obj->factory_name())) {
       return Status::InvalidArgument(StrFormat(
-          "factory name '%s' contains whitespace — not checkpointable",
+          "factory name '%s' is not a journal name — not checkpointable",
           obj->factory_name().c_str()));
     }
     if (options_.store != nullptr && obj->factory_name() == "-") {

@@ -72,8 +72,8 @@ struct CheckpointImage {
 // `obj` lines are eagerly registered objects; `dyn` lines carry the
 // factory that re-instantiates a dynamically created object on restart.
 // `encoded` is everything after the last header token (newline-free,
-// possibly empty). Object ids and factory names must be free of spaces
-// and newlines.
+// possibly empty). Object ids and factory names must satisfy
+// IsJournalName (txn/journal_format.h).
 std::string EncodeCheckpointPayload(const CheckpointImage& image);
 StatusOr<CheckpointImage> DecodeCheckpointPayload(std::string_view payload);
 
@@ -98,8 +98,9 @@ std::string CheckpointFileName(Lsn anchor);
 // checkpoint skips it — both objects seen evicted during the snapshot walk
 // and objects evicted between the walk and the store batch — and re-Puts
 // only resident objects. The factory
-// token is "-" for eagerly registered objects (factory names are validated
-// non-empty and whitespace-free, so the sentinel cannot collide).
+// token is "-" for eagerly registered objects (factory names are journal
+// names, and Write refuses a factory named "-", so the sentinel cannot
+// collide).
 //
 // A checkpoint is durable when the batch carrying the meta key syncs; the
 // store's append-order durability property then also covers every earlier

@@ -70,7 +70,7 @@ struct LifecycleRecord {
 class Journal {
  public:
   struct CommitRecord {
-    TxnId txn;
+    TxnId txn = kInvalidTxn;
     OpSeq ops;
   };
 

@@ -2,7 +2,7 @@
 
 #include "txn/journal_format.h"
 
-#include <sstream>
+#include <algorithm>
 
 #include "common/crc32c.h"
 #include "common/macros.h"
@@ -78,15 +78,130 @@ StatusOr<std::string> UnframeBlob(std::string_view image) {
   return std::string(image.substr(kJournalFrameHeaderSize, len));
 }
 
+bool IsJournalName(std::string_view name) {
+  if (name.empty()) return false;
+  for (const char c : name) {
+    const unsigned char u = static_cast<unsigned char>(c);
+    if (u <= 0x20 || u == 0x7f) return false;
+  }
+  return true;
+}
+
+namespace {
+
+// One value literal as the journal writes it: SerializeValue's typed
+// encoding, with a string body escaped so it stays a single token.
+void AppendValueLiteral(std::string* out, const Value& value) {
+  if (value.is_string()) {
+    out->append("s:");
+    AppendEscaped(out, value.AsString());
+  } else if (value.is_int()) {
+    out->append("i:");
+    AppendDecimal(out, value.AsInt());
+  } else if (value.is_bool()) {
+    out->append(value.AsBool() ? "b:true" : "b:false");
+  } else {
+    out->append("u:");
+  }
+}
+
+// Inverse of AppendValueLiteral into `*out`. The common forms (an
+// unescaped string body, a plain decimal int) are decoded in place; every
+// other literal goes through ParseValue, so the accepted set is exactly
+// ParseValue's plus the escaped string bodies.
+Status ParseValueLiteral(std::string_view token, Value* out) {
+  if (token.size() >= 2 && token[1] == ':') {
+    const std::string_view body = token.substr(2);
+    int64_t v = 0;
+    if (token[0] == 's') {
+      if (body.find('%') == std::string_view::npos) {
+        *out = Value(std::string(body));
+        return Status::OK();
+      }
+      StatusOr<std::string> raw = UnescapeToken(body);
+      if (!raw.ok()) return raw.status();
+      *out = Value(std::move(*raw));
+      return Status::OK();
+    }
+    if (token[0] == 'i' && ParseDecimal(body, &v)) {
+      *out = Value(v);
+      return Status::OK();
+    }
+  }
+  StatusOr<Value> parsed = ParseValue(token);
+  if (!parsed.ok()) return parsed.status();
+  *out = std::move(*parsed);
+  return Status::OK();
+}
+
+// Appends the operation of one "op <object> <code> <name> <result>
+// [args...]" line (without its newline) to `*ops`.
+Status DecodeOpLine(std::string_view line, OpSeq* ops) {
+  std::string_view rest = line;
+  std::string_view tag, object, code_token, name, token;
+  int code = 0;
+  if (!NextToken(&rest, &tag) || tag != "op" || !NextToken(&rest, &object) ||
+      !IsJournalName(object) || !NextToken(&rest, &code_token) ||
+      !ParseDecimal(code_token, &code) || !NextToken(&rest, &name)) {
+    return Status::InvalidArgument("malformed op line: " + std::string(line));
+  }
+  if (!NextToken(&rest, &token)) {
+    return Status::InvalidArgument("op line missing result: " +
+                                   std::string(line));
+  }
+  Value result;
+  CCR_RETURN_IF_ERROR(ParseValueLiteral(token, &result));
+  std::vector<Value> args;
+  while (NextToken(&rest, &token)) {
+    CCR_RETURN_IF_ERROR(ParseValueLiteral(token, &args.emplace_back()));
+  }
+  ops->emplace_back(
+      Invocation(ObjectId(object), code, std::string(name), std::move(args)),
+      std::move(result));
+  return Status::OK();
+}
+
+// DecodeCommitPayload's body, filling `*record` in place (DecodeEntryPayload
+// decodes straight into its entry).
+Status DecodeCommitInto(std::string_view payload,
+                        Journal::CommitRecord* record) {
+  std::string_view line;
+  if (!NextLine(&payload, &line)) {
+    return Status::InvalidArgument("empty commit payload");
+  }
+  std::string_view tag, txn_token, extra;
+  if (!NextToken(&line, &tag) || tag != "txn" ||
+      !NextToken(&line, &txn_token) ||
+      !ParseDecimal(txn_token, &record->txn) || record->txn == kInvalidTxn ||
+      NextToken(&line, &extra)) {
+    return Status::InvalidArgument("commit payload must start 'txn <id>'");
+  }
+  record->ops.reserve(static_cast<size_t>(
+      std::count(payload.begin(), payload.end(), '\n')));
+  while (NextLine(&payload, &line)) {
+    if (!line.empty()) CCR_RETURN_IF_ERROR(DecodeOpLine(line, &record->ops));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 std::string EncodeCommitPayload(const Journal::CommitRecord& record) {
-  std::string out =
-      StrFormat("txn %llu\n", static_cast<unsigned long long>(record.txn));
+  std::string out = "txn ";
+  AppendDecimal(&out, record.txn);
+  out += '\n';
   for (const Operation& op : record.ops) {
-    out += StrFormat("op %s %d %s %s", op.object().c_str(), op.code(),
-                     op.name().c_str(), SerializeValue(op.result()).c_str());
+    out += "op ";
+    out += op.object();
+    out += ' ';
+    AppendDecimal(&out, op.code());
+    out += ' ';
+    out += op.name();
+    out += ' ';
+    AppendValueLiteral(&out, op.result());
     for (const Value& arg : op.args()) {
       out += ' ';
-      out += SerializeValue(arg);
+      AppendValueLiteral(&out, arg);
     }
     out += '\n';
   }
@@ -94,44 +209,8 @@ std::string EncodeCommitPayload(const Journal::CommitRecord& record) {
 }
 
 StatusOr<Journal::CommitRecord> DecodeCommitPayload(std::string_view payload) {
-  std::istringstream lines{std::string(payload)};
-  std::string line;
-  if (!std::getline(lines, line)) {
-    return Status::InvalidArgument("empty commit payload");
-  }
-  std::istringstream first(line);
-  std::string tag;
-  unsigned long long txn_raw = 0;
-  if (!(first >> tag >> txn_raw) || tag != "txn" || txn_raw == 0) {
-    return Status::InvalidArgument("commit payload must start 'txn <id>'");
-  }
-  Journal::CommitRecord record{static_cast<TxnId>(txn_raw), {}};
-  while (std::getline(lines, line)) {
-    if (line.empty()) continue;
-    std::istringstream fields(line);
-    std::string op_tag;
-    ObjectId object;
-    int code = 0;
-    std::string name;
-    std::string token;
-    if (!(fields >> op_tag >> object >> code >> name) || op_tag != "op") {
-      return Status::InvalidArgument("malformed op line: " + line);
-    }
-    if (!(fields >> token)) {
-      return Status::InvalidArgument("op line missing result: " + line);
-    }
-    StatusOr<Value> result = ParseValue(token);
-    if (!result.ok()) return result.status();
-    std::vector<Value> args;
-    while (fields >> token) {
-      StatusOr<Value> arg = ParseValue(token);
-      if (!arg.ok()) return arg.status();
-      args.push_back(std::move(*arg));
-    }
-    record.ops.emplace_back(
-        Invocation(std::move(object), code, std::move(name), std::move(args)),
-        std::move(*result));
-  }
+  Journal::CommitRecord record{kInvalidTxn, {}};
+  CCR_RETURN_IF_ERROR(DecodeCommitInto(payload, &record));
   return record;
 }
 
@@ -140,41 +219,40 @@ std::string EncodeCommitRecord(const Journal::CommitRecord& record) {
 }
 
 std::string EncodeLifecyclePayload(const LifecycleRecord& record) {
-  CCR_CHECK_MSG(record.object.find_first_of(" \t\n") == std::string::npos,
-                "lifecycle record object id '%s' contains whitespace",
+  CCR_CHECK_MSG(IsJournalName(record.object),
+                "lifecycle record object id '%s' is not a journal name",
                 record.object.c_str());
   if (record.kind == LifecycleRecord::Kind::kCreate) {
-    CCR_CHECK_MSG(!record.factory.empty() &&
-                      record.factory.find_first_of(" \t\n") ==
-                          std::string::npos,
-                  "create record for '%s' needs a whitespace-free factory "
-                  "name (got '%s')",
+    CCR_CHECK_MSG(IsJournalName(record.factory),
+                  "create record for '%s' needs a journal-name factory "
+                  "(got '%s')",
                   record.object.c_str(), record.factory.c_str());
-    return StrFormat("create %s %s\n", record.object.c_str(),
-                     record.factory.c_str());
+    return "create " + record.object + ' ' + record.factory + '\n';
   }
-  return StrFormat("drop %s\n", record.object.c_str());
+  return "drop " + record.object + '\n';
 }
 
 StatusOr<LifecycleRecord> DecodeLifecyclePayload(std::string_view payload) {
-  std::istringstream fields{std::string(payload)};
-  std::string tag;
-  LifecycleRecord record;
-  if (!(fields >> tag >> record.object) || record.object.empty()) {
+  std::string_view tag, object, factory, extra;
+  if (!NextToken(&payload, &tag) || !NextToken(&payload, &object) ||
+      !IsJournalName(object)) {
     return Status::InvalidArgument("malformed lifecycle payload");
   }
-  std::string extra;
+  LifecycleRecord record;
+  record.object = ObjectId(object);
   if (tag == "create") {
     record.kind = LifecycleRecord::Kind::kCreate;
-    if (!(fields >> record.factory) || record.factory.empty()) {
+    if (!NextToken(&payload, &factory) || !IsJournalName(factory)) {
       return Status::InvalidArgument("create record missing factory name");
     }
+    record.factory = std::string(factory);
   } else if (tag == "drop") {
     record.kind = LifecycleRecord::Kind::kDrop;
   } else {
-    return Status::InvalidArgument("unknown lifecycle tag: " + tag);
+    return Status::InvalidArgument("unknown lifecycle tag: " +
+                                   std::string(tag));
   }
-  if (fields >> extra) {
+  if (NextToken(&payload, &extra)) {
     return Status::InvalidArgument("trailing tokens in lifecycle payload");
   }
   return record;
@@ -186,16 +264,19 @@ std::string EncodeEntryPayload(const Journal::Entry& entry) {
 }
 
 StatusOr<Journal::Entry> DecodeEntryPayload(std::string_view payload) {
-  const size_t tag_end = payload.find_first_of(" \t\n");
-  const std::string_view tag = payload.substr(0, tag_end);
+  std::string_view rest = payload;
+  std::string_view tag;
+  NextToken(&rest, &tag);
+  Journal::Entry entry;
   if (tag == "create" || tag == "drop") {
     StatusOr<LifecycleRecord> lifecycle = DecodeLifecyclePayload(payload);
     if (!lifecycle.ok()) return lifecycle.status();
-    return Journal::Entry::Lifecycle(std::move(*lifecycle));
+    entry.is_lifecycle = true;
+    entry.lifecycle = std::move(*lifecycle);
+    return entry;
   }
-  StatusOr<Journal::CommitRecord> commit = DecodeCommitPayload(payload);
-  if (!commit.ok()) return commit.status();
-  return Journal::Entry::Commit(commit->txn, std::move(commit->ops));
+  CCR_RETURN_IF_ERROR(DecodeCommitInto(payload, &entry.commit));
+  return entry;
 }
 
 std::string EncodeEntryRecord(const Journal::Entry& entry) {

@@ -13,6 +13,11 @@
 //   txn <id>
 //   op <object> <code> <name> <result-literal> [arg-literals...]
 //
+// Object ids, codes and names are written raw; value literals use
+// core/history_io's typed encoding (i:/s:/b:/u:) except that a string body
+// is percent-escaped (EscapeToken's bytes; "" stays "s:"), so a string
+// holding spaces, newlines or '%' stays one token.
+//
 // The CRC covers the payload only; the length prefix is validated
 // structurally (a frame must fit inside the image). A record's frame
 // reaching the disk in full, checksum intact, IS the transaction's
@@ -66,12 +71,19 @@ bool IntactJournalFrameAt(std::string_view image, size_t pos,
 // probe that distinguishes a torn tail from mid-journal corruption.
 bool IntactJournalFrameAfter(std::string_view image, size_t from);
 
+// The one rule for names the journal, checkpoint and store formats write
+// unescaped — object ids and factory names: non-empty, with no space,
+// control byte (<= 0x20) or DEL. TxnManager refuses ids that break it
+// before anything is built or journaled.
+bool IsJournalName(std::string_view name);
+
 // The textual payload of one commit record (no frame).
 std::string EncodeCommitPayload(const Journal::CommitRecord& record);
 
 // Inverse of EncodeCommitPayload. kInvalidArgument on malformed payloads
 // (only reachable through writer bugs or checksum collisions — the scanner
-// verifies the CRC first).
+// verifies the CRC first): every token must be whole, so "txn -1",
+// "txn 1 2" or a code with trailing bytes are refused.
 StatusOr<Journal::CommitRecord> DecodeCommitPayload(std::string_view payload);
 
 // The full framed bytes of one commit record as the writer appends them.
@@ -82,10 +94,10 @@ std::string EncodeCommitRecord(const Journal::CommitRecord& record);
 //   create <object> <factory>
 //   drop <object>
 //
-// Object ids and factory names must be whitespace-free (the same rule the
-// commit payload's op lines and the checkpoint image already impose);
-// creates must name a non-empty factory — a create that no factory can
-// replay would be unrecoverable by construction.
+// Object ids and factory names must satisfy IsJournalName (fatal
+// otherwise: callers validate first); creates must name a factory — a
+// create that no factory can replay would be unrecoverable by
+// construction.
 std::string EncodeLifecyclePayload(const LifecycleRecord& record);
 
 // Inverse of EncodeLifecyclePayload.

@@ -64,6 +64,8 @@ AtomicObject* TxnManager::AddObject(
     ObjectId id, std::shared_ptr<const Adt> adt,
     std::shared_ptr<const ConflictRelation> conflict,
     std::unique_ptr<RecoveryManager> recovery) {
+  CCR_CHECK_MSG(IsJournalName(id), "object id '%s' is not a journal name",
+                id.c_str());
   ObjectConfig config;
   config.adt = std::move(adt);
   config.conflict = std::move(conflict);
@@ -75,10 +77,8 @@ AtomicObject* TxnManager::AddObject(
 
 void TxnManager::RegisterFactory(const std::string& name,
                                  ObjectFactory factory) {
-  CCR_CHECK_MSG(!name.empty() &&
-                    name.find_first_of(" \n\r\t") == std::string::npos,
-                "factory name '%s' must be non-empty and whitespace-free",
-                name.c_str());
+  CCR_CHECK_MSG(IsJournalName(name),
+                "factory name '%s' is not a journal name", name.c_str());
   CCR_CHECK(factory != nullptr);
   std::unique_lock<std::shared_mutex> lock(factories_mu_);
   CCR_CHECK_MSG(factories_.emplace(name, std::move(factory)).second,
@@ -96,6 +96,11 @@ StatusOr<ObjectFactory> TxnManager::FindFactory(const std::string& name) const {
 
 StatusOr<AtomicObject*> TxnManager::GetOrCreate(
     const ObjectId& id, const std::string& factory_name) {
+  if (!IsJournalName(id)) {
+    return Status::InvalidArgument(StrFormat(
+        "object id '%s' is not a journal name (non-empty, no space, control "
+        "byte or DEL)", id.c_str()));
+  }
   MaybeEvict();
   Lsn create_lsn = kNoLsn;
   bool created = false;
@@ -310,34 +315,35 @@ std::vector<AtomicObject*> TxnManager::objects() const {
   return directory_.Snapshot();
 }
 
-TxnManager::ReplayContext::ReplayContext(
-    TxnManager* manager, const std::map<ObjectId, AtomicObject*>& registered)
-    : manager_(manager), by_id_(registered) {}
+TxnManager::ReplayContext::ReplayContext(TxnManager* manager)
+    : manager_(manager) {}
 
-AtomicObject* TxnManager::ReplayContext::Find(const ObjectId& id) const {
-  if (dropped_.count(id) != 0) return nullptr;
-  const auto it = by_id_.find(id);
-  return it == by_id_.end() ? nullptr : it->second;
+void TxnManager::ReplayContext::Reserve(size_t ids) { index_.reserve(ids); }
+
+void TxnManager::ReplayContext::AddRegistered(AtomicObject* object) {
+  index_[object->id()].object = object;
+}
+
+TxnManager::ReplayContext::Slot* TxnManager::ReplayContext::Find(
+    const ObjectId& id) {
+  const auto it = index_.find(id);
+  return it == index_.end() ? nullptr : &it->second;
+}
+
+TxnManager::ReplayContext::Slot& TxnManager::ReplayContext::Get(
+    const ObjectId& id) {
+  return index_[id];
 }
 
 StatusOr<TxnManager::ReplayContext::CreateResult>
-TxnManager::ReplayContext::ApplyCreate(const ObjectId& id,
+TxnManager::ReplayContext::ApplyCreate(const ObjectId& id, Slot& slot,
                                        const std::string& factory) {
-  CreateResult result;
-  const auto dropped_it = dropped_.find(id);
-  if (dropped_it != dropped_.end()) {
-    // Re-create of a previously dropped id: the same object slot starts a
-    // fresh incarnation.
-    dropped_.erase(dropped_it);
-    result.object = by_id_.at(id);
-    result.existed = true;
-    return result;
-  }
-  const auto it = by_id_.find(id);
-  if (it != by_id_.end()) {
-    result.object = it->second;
-    result.existed = true;
-    return result;
+  if (slot.object != nullptr) {
+    // The id exists (registered, image-installed or created earlier in the
+    // replay); a create after its drop starts a fresh incarnation in the
+    // same object.
+    slot.dropped = false;
+    return CreateResult{slot.object, /*existed=*/true};
   }
   StatusOr<ObjectFactory> found = manager_->FindFactory(factory);
   if (!found.ok()) {
@@ -346,78 +352,100 @@ TxnManager::ReplayContext::ApplyCreate(const ObjectId& id,
         "restart system does not match the journaled one", id.c_str(),
         factory.c_str()));
   }
-  std::unique_ptr<AtomicObject> built =
-      manager_->BuildObject(id, (*found)(id), factory);
-  result.object = built.get();
-  by_id_.emplace(id, built.get());
-  created_.emplace(id, std::move(built));
-  return result;
+  slot.created = manager_->BuildObject(id, (*found)(id), factory);
+  slot.object = slot.created.get();
+  return CreateResult{slot.object, /*existed=*/false};
 }
 
-Status TxnManager::ReplayContext::ApplyDrop(const ObjectId& id) {
-  if (by_id_.find(id) == by_id_.end() || dropped_.count(id) != 0) {
+Status TxnManager::ReplayContext::ApplyDrop(const ObjectId& id, Slot& slot) {
+  if (slot.live() == nullptr) {
     return Status::Internal(StrFormat(
         "journal drops %s object %s — journal and replay state disagree",
-        dropped_.count(id) != 0 ? "already-dropped" : "unknown", id.c_str()));
+        slot.dropped ? "already-dropped" : "unknown", id.c_str()));
   }
-  dropped_.insert(id);
+  slot.dropped = true;
   return Status::OK();
+}
+
+Status TxnManager::ReplayContext::CheckOrphans() const {
+  const ObjectId* unknown = nullptr;
+  for (const auto& [id, slot] : index_) {
+    if (slot.orphan_ops && !slot.store_dead &&
+        (unknown == nullptr || id < *unknown)) {
+      unknown = &id;
+    }
+  }
+  if (unknown == nullptr) return Status::OK();
+  return Status::Internal(StrFormat(
+      "journal names unknown object %s — restart system does not match the "
+      "journaled one", unknown->c_str()));
+}
+
+std::vector<ObjectId> TxnManager::ReplayContext::StoreDeadIds() const {
+  std::vector<ObjectId> ids;
+  for (const auto& [id, slot] : index_) {
+    if (slot.dropped || slot.store_dead) ids.push_back(id);
+  }
+  return ids;
 }
 
 void TxnManager::ReplayContext::Finalize(size_t* objects_created,
                                          size_t* objects_dropped) {
   size_t created_count = 0;
-  for (auto& [id, obj] : created_) {
-    if (dropped_.count(id) != 0) continue;  // created then dropped: gone
+  size_t dropped_count = 0;
+  for (auto& [id, slot] : index_) {
+    if (slot.dropped) {
+      ++dropped_count;
+      // A replay-created object whose final state is dropped was never
+      // published; it dies with its slot. A pre-registered one is retired
+      // for real — no journaling, its drop record is already durable.
+      if (slot.created != nullptr) continue;
+      const Status s = manager_->directory_.Drop(
+          id, [](AtomicObject* obj) { return obj->MarkDropped(); });
+      CCR_CHECK_MSG(s.ok(), "cannot retire %s after replay: %s", id.c_str(),
+                    s.ToString().c_str());
+      continue;
+    }
+    if (slot.created == nullptr) continue;
     // Publication: attach the manager's lifecycle journal so post-restart
     // commits of this object journal like any other object's, then insert.
     if (manager_->lifecycle_journal_ != nullptr) {
-      obj->recovery().set_journal(manager_->lifecycle_journal_);
+      slot.created->recovery().set_journal(manager_->lifecycle_journal_);
     }
-    manager_->directory_.Insert(id, std::move(obj));
+    manager_->directory_.Insert(id, std::move(slot.created));
     ++created_count;
   }
-  for (const ObjectId& id : dropped_) {
-    // A replay-created object whose final state is dropped was never
-    // published; it dies with `created_`. A pre-registered one is retired
-    // for real — no journaling, its drop record is already durable.
-    if (created_.count(id) != 0) continue;
-    const Status s = manager_->directory_.Drop(
-        id, [](AtomicObject* obj) { return obj->MarkDropped(); });
-    CCR_CHECK_MSG(s.ok(), "cannot retire %s after replay: %s", id.c_str(),
-                  s.ToString().c_str());
-  }
   if (objects_created != nullptr) *objects_created = created_count;
-  if (objects_dropped != nullptr) *objects_dropped = dropped_.size();
+  if (objects_dropped != nullptr) *objects_dropped = dropped_count;
 }
 
-Status TxnManager::InstallImageObjects(
-    ReplayContext& ctx, const CheckpointImage& image,
-    std::map<ObjectId, Lsn>* ckpt_lsn,
-    std::map<ObjectId, const CheckpointImage::ObjectEntry*>* deferred,
-    size_t* installed) {
+Status TxnManager::InstallImageObjects(ReplayContext& ctx,
+                                       const CheckpointImage& image,
+                                       size_t* installed, size_t* deferred) {
   for (const CheckpointImage::ObjectEntry& entry : image.objects) {
-    AtomicObject* obj = ctx.Find(entry.id);
+    ReplayContext::Slot& slot = ctx.Get(entry.id);
+    AtomicObject* obj = slot.live();
     if (obj == nullptr) {
       if (entry.factory.empty()) {
         return Status::Internal(StrFormat(
             "checkpoint names unknown object %s — restart system does "
             "not match the checkpointed one", entry.id.c_str()));
       }
-      (*ckpt_lsn)[entry.id] = entry.lsn;
+      slot.ckpt_lsn = entry.lsn;
       if (deferred != nullptr) {
         // Lazy store restart: park the entry — it materializes only if
         // the tail names it, otherwise its store image stays the state of
         // record and first touch faults it in.
-        deferred->emplace(entry.id, &entry);
+        slot.deferred = &entry;
+        ++*deferred;
         continue;
       }
       StatusOr<ReplayContext::CreateResult> created =
-          ctx.ApplyCreate(entry.id, entry.factory);
+          ctx.ApplyCreate(entry.id, slot, entry.factory);
       if (!created.ok()) return created.status();
       obj = created->object;
     } else {
-      (*ckpt_lsn)[entry.id] = entry.lsn;
+      slot.ckpt_lsn = entry.lsn;
     }
     StatusOr<std::unique_ptr<SpecState>> state =
         obj->adt().DecodeState(entry.encoded);
@@ -488,10 +516,12 @@ using TailBucket = std::pair<AtomicObject*, std::vector<TailEntry>>;
 // Replays the per-object buckets over up to `max_threads` workers. Each
 // worker owns whole buckets (claimed off an atomic cursor), so a given
 // object is replayed by exactly one thread and needs no cross-thread
-// ordering.
+// ordering. A worker frees each bucket's entries as soon as it has
+// replayed them, so the freeing fans out with the replay.
 Status ReplayBuckets(std::vector<TailBucket>& buckets, int max_threads) {
   const auto replay = [](TailBucket& bucket) {
-    for (TailEntry& entry : bucket.second) {
+    std::vector<TailEntry> entries = std::move(bucket.second);
+    for (TailEntry& entry : entries) {
       if (entry.create_reset) {
         bucket.first->ResetForRecovery();
         continue;
@@ -544,20 +574,17 @@ StatusOr<RestartSummary> TxnManager::RestartFrom(
     }
   }
   // Detach journals during replay: the records being replayed are already
-  // durable, and re-appending them would double the journal. One id->object
-  // map serves the whole replay (a directory probe per journaled op
-  // dominated restart on long journals); the context layers lifecycle
-  // effects (creates, drops) on top without touching the directory until
-  // Finalize.
-  const std::vector<AtomicObject*> objs = objects();
-  std::vector<Journal*> detached;
-  std::map<ObjectId, AtomicObject*> by_id;
-  for (AtomicObject* obj : objs) {
-    detached.push_back(obj->recovery().journal());
+  // durable, and re-appending them would double the journal. One walk of
+  // the directory detaches them and seeds the replay index; the context
+  // layers lifecycle effects (creates, drops) on top without touching the
+  // directory until Finalize.
+  std::vector<std::pair<AtomicObject*, Journal*>> detached;
+  detached.reserve(directory_.approx_live());
+  directory_.ForEach([&detached](AtomicObject* obj) {
+    detached.emplace_back(obj, obj->recovery().journal());
     obj->recovery().set_journal(nullptr);
-    by_id.emplace(obj->id(), obj);
-  }
-  ReplayContext ctx(this, by_id);
+  });
+  ReplayContext ctx(this);
   RestartSummary summary;
 
   const Status status = [&]() -> Status {
@@ -581,6 +608,8 @@ StatusOr<RestartSummary> TxnManager::RestartFrom(
       image = std::move(*from_file);
     }
     summary.checkpoint_anchor = image.anchor;
+    ctx.Reserve(detached.size() + image.objects.size());
+    for (const auto& [obj, journal] : detached) ctx.AddRegistered(obj);
 
     // Install the checkpointed states. `dyn` entries name objects this
     // manager never registered — re-instantiate them through the factory
@@ -589,29 +618,33 @@ StatusOr<RestartSummary> TxnManager::RestartFrom(
     // configuration mismatch (its truncated records are unrecoverable
     // elsewhere); a manager object missing from the image simply replays
     // its whole (surviving) history from the initial state.
-    std::map<ObjectId, Lsn> ckpt_lsn;
-    std::map<ObjectId, const CheckpointImage::ObjectEntry*> deferred;
     const bool lazy = options.lazy_store_install && summary.from_store;
-    CCR_RETURN_IF_ERROR(InstallImageObjects(ctx, image, &ckpt_lsn,
-                                            lazy ? &deferred : nullptr,
-                                            &summary.checkpoint_objects));
+    CCR_RETURN_IF_ERROR(
+        InstallImageObjects(ctx, image, &summary.checkpoint_objects,
+                            lazy ? &summary.store_deferred : nullptr));
+
+    // Un-parks a deferred image entry (the tail materialized, dropped or
+    // re-created its object).
+    const auto undefer = [&](ReplayContext::Slot& slot) {
+      if (slot.deferred == nullptr) return;
+      slot.deferred = nullptr;
+      --summary.store_deferred;
+    };
 
     // Materializes a deferred image entry once the tail names its object.
     // Runs during the serial scan only.
     const auto materialize =
-        [&](const std::map<ObjectId,
-                           const CheckpointImage::ObjectEntry*>::iterator dit)
-        -> StatusOr<AtomicObject*> {
-      const CheckpointImage::ObjectEntry& entry = *dit->second;
+        [&](ReplayContext::Slot& slot) -> StatusOr<AtomicObject*> {
+      const CheckpointImage::ObjectEntry& entry = *slot.deferred;
       StatusOr<ReplayContext::CreateResult> created =
-          ctx.ApplyCreate(entry.id, entry.factory);
+          ctx.ApplyCreate(entry.id, slot, entry.factory);
       if (!created.ok()) return created.status();
       StatusOr<std::unique_ptr<SpecState>> state =
           created->object->adt().DecodeState(entry.encoded);
       if (!state.ok()) return state.status();
       created->object->InstallCheckpoint(std::move(*state), entry.lsn);
       ++summary.checkpoint_objects;
-      deferred.erase(dit);
+      undefer(slot);
       return created->object;
     };
 
@@ -622,21 +655,22 @@ StatusOr<RestartSummary> TxnManager::RestartFrom(
     // (object states are independent), which is exactly what lets the
     // replay fan out.
     std::vector<TailBucket> buckets;
-    std::map<ObjectId, size_t> bucket_index;
-    auto bucket_for = [&](const ObjectId& id,
+    auto bucket_for = [&](ReplayContext::Slot& slot,
                           AtomicObject* obj) -> std::vector<TailEntry>& {
-      const auto [bit, fresh] = bucket_index.emplace(id, buckets.size());
-      if (fresh) buckets.emplace_back(obj, std::vector<TailEntry>{});
-      return buckets[bit->second].second;
+      if (slot.bucket == ReplayContext::kNoBucket) {
+        slot.bucket = buckets.size();
+        buckets.emplace_back(obj, std::vector<TailEntry>{});
+      }
+      return buckets[slot.bucket].second;
     };
 
     // Ops naming an id that is neither registered, image-installed, nor
     // tail-created: legal only when a later `drop` record shows the whole
     // incarnation was superseded by the checkpoint (the object was dropped
     // before the image walk, so the image has no entry, but its pre-drop
-    // tail records survive). Tracked here and judged once the scan
-    // completes.
-    std::map<ObjectId, bool> orphan_ok;
+    // tail records survive). Flagged in the slot (orphan_ops) and judged
+    // once the scan completes.
+    bool saw_orphan_ops = false;
 
     TxnId max_txn = image.max_txn;
     Lsn high_lsn = image.anchor;
@@ -644,13 +678,10 @@ StatusOr<RestartSummary> TxnManager::RestartFrom(
         image.anchor,
         [&](Lsn lsn, Journal::Entry&& entry) {
           high_lsn = std::max(high_lsn, lsn);
-          const auto covered = [&](const ObjectId& id) {
-            const auto it = ckpt_lsn.find(id);
-            return it != ckpt_lsn.end() && lsn <= it->second;
-          };
           if (entry.is_lifecycle) {
             const LifecycleRecord& lc = entry.lifecycle;
-            if (covered(lc.object)) {
+            ReplayContext::Slot& slot = ctx.Get(lc.object);
+            if (lsn <= slot.ckpt_lsn) {
               // Fuzzy overshoot: the object's snapshot was taken after this
               // lifecycle event, so the image already reflects it (an
               // incarnation's checkpoint LSN is 0 or exceeds its create LSN
@@ -659,42 +690,44 @@ StatusOr<RestartSummary> TxnManager::RestartFrom(
               return Status::OK();
             }
             if (lc.kind == LifecycleRecord::Kind::kDrop) {
-              if (ctx.Find(lc.object) == nullptr && !ctx.Dropped(lc.object)) {
+              if (slot.object == nullptr) {
                 // Drop of an id this restart never materialized: a lazily
                 // deferred object (it never materializes) or the orphaned
                 // ops of a checkpoint-superseded incarnation. Either way its
                 // store key must die again — a pre-crash buffered Delete
                 // may have been lost.
-                if (deferred.erase(lc.object) != 0) ckpt_lsn.erase(lc.object);
-                orphan_ok[lc.object] = true;
-                ctx.NoteStoreDead(lc.object);
+                if (slot.deferred != nullptr) {
+                  undefer(slot);
+                  slot.ckpt_lsn = kNoLsn;
+                }
+                slot.store_dead = true;
                 ++summary.tail_records;
                 return Status::OK();
               }
-              CCR_RETURN_IF_ERROR(ctx.ApplyDrop(lc.object));
+              CCR_RETURN_IF_ERROR(ctx.ApplyDrop(lc.object, slot));
               // The dropped incarnation's buffered tail is dead state: purge
               // it instead of replaying a partial history whose effect the
               // drop (or a following create's reset) discards anyway.
-              const auto bit = bucket_index.find(lc.object);
-              if (bit != bucket_index.end()) {
-                buckets[bit->second].second.clear();
+              if (slot.bucket != ReplayContext::kNoBucket) {
+                buckets[slot.bucket].second.clear();
               }
               ++summary.tail_records;
               return Status::OK();
             }
             // An uncovered create supersedes any parked image: the new
             // incarnation starts fresh (its ops all carry LSNs above the
-            // stale image's, so the ckpt_lsn entry can never cover them).
-            deferred.erase(lc.object);
+            // stale image's, so the slot's checkpoint LSN can never cover
+            // them).
+            undefer(slot);
             StatusOr<ReplayContext::CreateResult> created =
-                ctx.ApplyCreate(lc.object, lc.factory);
+                ctx.ApplyCreate(lc.object, slot, lc.factory);
             if (!created.ok()) return created.status();
             if (created->existed) {
               // The object already holds state (image install, or the
               // registered initial state): order the incarnation reset into
               // its bucket so it lands between the old incarnation's records
               // and the new one's ops.
-              bucket_for(lc.object, created->object)
+              bucket_for(slot, created->object)
                   .push_back(TailEntry{true, 0, lsn, OpSeq{}});
             }
             ++summary.tail_records;
@@ -703,54 +736,49 @@ StatusOr<RestartSummary> TxnManager::RestartFrom(
           const TxnId txn = entry.commit.txn;
           max_txn = std::max(max_txn, txn);
           for (Operation& op : entry.commit.ops) {
-            AtomicObject* obj = ctx.Find(op.object());
+            ReplayContext::Slot* slot = ctx.Find(op.object());
+            AtomicObject* obj = slot == nullptr ? nullptr : slot->live();
             if (obj == nullptr) {
-              const auto dit = deferred.find(op.object());
-              if (dit != deferred.end()) {
-                if (lsn <= dit->second->lsn) {
+              if (slot != nullptr && slot->deferred != nullptr) {
+                if (lsn <= slot->deferred->lsn) {
                   // Covered by the parked image: skip without
                   // materializing — the object stays deferred.
                   ++summary.tail_skipped;
                   continue;
                 }
-                StatusOr<AtomicObject*> mat = materialize(dit);
+                StatusOr<AtomicObject*> mat = materialize(*slot);
                 if (!mat.ok()) return mat.status();
                 obj = *mat;
-              } else if (ctx.Dropped(op.object())) {
+              } else if (slot != nullptr && slot->dropped) {
                 return Status::Internal(StrFormat(
                     "journal names object %s after its drop record",
                     op.object().c_str()));
               } else {
-                orphan_ok.try_emplace(op.object(), false);
+                ctx.Get(op.object()).orphan_ops = true;
+                saw_orphan_ops = true;
                 continue;
               }
             }
-            if (covered(op.object())) {
+            if (lsn <= slot->ckpt_lsn) {
               // The fuzzy overshoot: this object's snapshot already includes
               // the record even though it lies past the anchor.
               ++summary.tail_skipped;
               continue;
             }
-            std::vector<TailEntry>& bucket = bucket_for(op.object(), obj);
-            if (!bucket.empty() && !bucket.back().create_reset &&
-                bucket.back().lsn == lsn) {
-              bucket.back().ops.push_back(std::move(op));
-            } else {
-              bucket.push_back(
-                  TailEntry{false, txn, lsn, OpSeq{std::move(op)}});
+            std::vector<TailEntry>& bucket = bucket_for(*slot, obj);
+            if (bucket.empty() || bucket.back().create_reset ||
+                bucket.back().lsn != lsn) {
+              bucket.push_back(TailEntry{false, txn, lsn, OpSeq{}});
             }
+            // Moved, not listed in OpSeq{...}: an initializer list would
+            // copy the operation.
+            bucket.back().ops.push_back(std::move(op));
           }
           ++summary.tail_records;
           return Status::OK();
         },
         &summary.scan));
-    for (const auto& [id, ok] : orphan_ok) {
-      if (!ok) {
-        return Status::Internal(StrFormat(
-            "journal names unknown object %s — restart system does not "
-            "match the journaled one", id.c_str()));
-      }
-    }
+    if (saw_orphan_ops) CCR_RETURN_IF_ERROR(ctx.CheckOrphans());
     CCR_RETURN_IF_ERROR(ReplayBuckets(buckets, options.replay_threads));
 
     if (store_ != nullptr) {
@@ -762,9 +790,8 @@ StatusOr<RestartSummary> TxnManager::RestartFrom(
       // hardens this batch, and until then the journal still carries the
       // drop record, so the next restart re-issues the Delete.
       StoreWriteBatch batch;
-      for (const ObjectId& id : ctx.dropped()) batch.Delete(StoreObjectKey(id));
-      for (const ObjectId& id : ctx.store_dead()) {
-        if (ctx.dropped().count(id) == 0) batch.Delete(StoreObjectKey(id));
+      for (const ObjectId& id : ctx.StoreDeadIds()) {
+        batch.Delete(StoreObjectKey(id));
       }
       if (!batch.empty()) {
         std::lock_guard<std::mutex> lock(store_mu_);
@@ -779,7 +806,6 @@ StatusOr<RestartSummary> TxnManager::RestartFrom(
     AdvanceTxnWatermark(max_txn);
     summary.max_txn = max_txn;
     summary.high_lsn = high_lsn;
-    summary.store_deferred = deferred.size();
     return Status::OK();
   }();
 
@@ -789,10 +815,10 @@ StatusOr<RestartSummary> TxnManager::RestartFrom(
     // still detached, so the error path leaves exactly the "empty system" a
     // caller can reason about (retry, or discard). Replay-created objects
     // were never published — they die with the context.
-    for (AtomicObject* obj : objs) obj->ResetForRecovery();
+    for (const auto& [obj, journal] : detached) obj->ResetForRecovery();
   }
-  for (size_t i = 0; i < objs.size(); ++i) {
-    objs[i]->recovery().set_journal(detached[i]);
+  for (const auto& [obj, journal] : detached) {
+    obj->recovery().set_journal(journal);
   }
   if (!status.ok()) return status;
   ctx.Finalize(&summary.objects_created, &summary.objects_dropped);

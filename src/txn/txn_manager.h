@@ -15,7 +15,6 @@
 #include <array>
 #include <atomic>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -138,23 +137,25 @@ class TxnManager {
   CCR_DISALLOW_COPY_AND_ASSIGN(TxnManager);
 
   // Creates and registers an object with this manager's recorder, detector,
-  // kill function, lock timeout, and policy.
+  // kill function, lock timeout, and policy. `id` must be a journal name
+  // (IsJournalName; fatal otherwise — eager registration is setup code).
   AtomicObject* AddObject(ObjectId id, std::shared_ptr<const Adt> adt,
                           std::shared_ptr<const ConflictRelation> conflict,
                           std::unique_ptr<RecoveryManager> recovery);
 
-  // Registers a factory for lazy object creation. Names must be
-  // whitespace-free (they are journaled in create records and checkpoint
-  // `dyn` lines). Registering before restart is mandatory for any factory
-  // the journal names. Fatal on duplicate name.
+  // Registers a factory for lazy object creation. Names must be journal
+  // names (IsJournalName: they are journaled in create records and
+  // checkpoint `dyn` lines). Registering before restart is mandatory for
+  // any factory the journal names. Fatal on duplicate name.
   void RegisterFactory(const std::string& name, ObjectFactory factory);
 
   // Returns the object named `id`, creating it through `factory_name` on
   // first touch (exactly one creator under a race). A created object's
   // recovery manager is attached to the lifecycle journal, and a `create`
   // record is journaled before the object becomes visible — so the create's
-  // LSN precedes every commit record of the object. kNotFound when the
-  // factory is unknown.
+  // LSN precedes every commit record of the object. kInvalidArgument when
+  // `id` is not a journal name (IsJournalName), before anything is built or
+  // journaled; kNotFound when the factory is unknown.
   StatusOr<AtomicObject*> GetOrCreate(const ObjectId& id,
                                       const std::string& factory_name);
 
@@ -354,26 +355,58 @@ class TxnManager {
   DeadlockDetector* detector() { return &detector_; }
 
  private:
-  // Mutable object state during a restart replay. Lifecycle records change
-  // the id->object mapping mid-replay: creates instantiate objects through
-  // the factory registry (or reset an existing id to a fresh incarnation),
-  // drops retire them. Created objects stay owned here — outside the
-  // directory — until Finalize, so an errored restart discards them
-  // without ever publishing (the fail-atomicity guarantee extends to
-  // lifecycle). Single-threaded: the driver applies lifecycle effects
-  // during its (serial) scan, before the parallel tail fan-out.
+  // Mutable object state during a restart replay: one hash index from
+  // object id to everything the replay knows about it, so a tail op costs
+  // one probe. Lifecycle records change the id->object mapping mid-replay:
+  // creates instantiate objects through the factory registry (or reset an
+  // existing id to a fresh incarnation), drops retire them. Created objects
+  // stay owned here — outside the directory — until Finalize, so an errored
+  // restart discards them without ever publishing (the fail-atomicity
+  // guarantee extends to lifecycle). Single-threaded: the driver applies
+  // lifecycle effects during its (serial) scan, before the parallel tail
+  // fan-out.
   class ReplayContext {
    public:
-    ReplayContext(TxnManager* manager,
-                  const std::map<ObjectId, AtomicObject*>& registered);
+    static constexpr size_t kNoBucket = static_cast<size_t>(-1);
 
-    // Live view: registered or replay-created objects, minus those
-    // currently dropped. nullptr when `id` is unknown or dropped.
-    AtomicObject* Find(const ObjectId& id) const;
+    struct Slot {
+      // Registered or replay-created object (nullptr: the id has not been
+      // materialized — it is deferred, orphaned, or only named).
+      AtomicObject* object = nullptr;
+      // Owns `object` when this replay created it (until Finalize).
+      std::unique_ptr<AtomicObject> created;
+      // The checkpoint image's LSN for the id: tail records at or below it
+      // are already reflected in the installed state (kNoLsn: none).
+      Lsn ckpt_lsn = kNoLsn;
+      // Lazy store restart: the parked image entry, installed only if the
+      // tail names the id.
+      const CheckpointImage::ObjectEntry* deferred = nullptr;
+      size_t bucket = kNoBucket;  // index of the id's tail bucket
+      bool dropped = false;       // journaled drop applied, no create since
+      // A drop of an id this replay never materialized: its store key must
+      // die again, and any ops naming it are the superseded incarnation's.
+      bool store_dead = false;
+      // Ops named the id while nothing had materialized it; an error
+      // unless a later drop (store_dead) shows they were superseded.
+      bool orphan_ops = false;
 
-    // Whether `id` is currently dropped in this replay (distinguishes
-    // "dropped" from "never existed" when Find returns nullptr).
-    bool Dropped(const ObjectId& id) const { return dropped_.count(id) != 0; }
+      // The object while it is live in the replay (not dropped).
+      AtomicObject* live() const { return dropped ? nullptr : object; }
+    };
+
+    explicit ReplayContext(TxnManager* manager);
+
+    // Sizes the index up front: registered objects plus image entries
+    // cover every id but the tail's creates.
+    void Reserve(size_t ids);
+
+    // Enters a registered manager object.
+    void AddRegistered(AtomicObject* object);
+
+    // The id's slot, or nullptr when the replay has never seen the id.
+    Slot* Find(const ObjectId& id);
+    // The id's slot, inserted empty on first sight.
+    Slot& Get(const ObjectId& id);
 
     // Outcome of applying a journaled `create <id> <factory>`.
     struct CreateResult {
@@ -385,24 +418,26 @@ class TxnManager {
       bool existed = false;
     };
 
-    // Applies a journaled create: re-instantiates through the registry
-    // (kInternal when the factory is unknown — configuration and journal
-    // disagree) or un-drops/returns the existing object (see CreateResult).
-    StatusOr<CreateResult> ApplyCreate(const ObjectId& id,
+    // Applies a journaled create to `id`'s slot: re-instantiates through
+    // the registry (kInternal when the factory is unknown — configuration
+    // and journal disagree) or un-drops/returns the existing object (see
+    // CreateResult).
+    StatusOr<CreateResult> ApplyCreate(const ObjectId& id, Slot& slot,
                                        const std::string& factory);
 
     // Applies a journaled `drop <id>`. kInternal when `id` is absent or
     // already dropped.
-    Status ApplyDrop(const ObjectId& id);
+    Status ApplyDrop(const ObjectId& id, Slot& slot);
 
-    // Ids whose journaled drop was applied in this replay, and extra ids
-    // the caller flagged (orphan drops): after a successful restart the
-    // manager re-deletes their store keys — a pre-crash buffered Delete
-    // may have been lost, and once the journal's drop record is truncated
-    // a surviving key would resurrect the object.
-    const std::set<ObjectId>& dropped() const { return dropped_; }
-    void NoteStoreDead(const ObjectId& id) { store_dead_.insert(id); }
-    const std::set<ObjectId>& store_dead() const { return store_dead_; }
+    // kInternal naming an id whose ops no object and no later drop
+    // explain (the smallest such id, for a stable message).
+    Status CheckOrphans() const;
+
+    // Keys whose store entry must be deleted after a successful replay:
+    // every id whose journaled drop was applied, and every orphan drop. A
+    // pre-crash buffered Delete may have been lost, and once the journal's
+    // drop record is truncated a surviving key would resurrect the object.
+    std::vector<ObjectId> StoreDeadIds() const;
 
     // Success-path publication: inserts surviving created objects into the
     // manager's directory (attaching the lifecycle journal to their
@@ -413,10 +448,7 @@ class TxnManager {
 
    private:
     TxnManager* const manager_;
-    std::map<ObjectId, AtomicObject*> by_id_;
-    std::map<ObjectId, std::unique_ptr<AtomicObject>> created_;
-    std::set<ObjectId> dropped_;
-    std::set<ObjectId> store_dead_;
+    std::unordered_map<ObjectId, Slot> index_;
   };
 
   // A restart entry source: visits the journal entries with LSN > after_lsn
@@ -454,16 +486,14 @@ class TxnManager {
   StatusOr<AtomicObject*> FaultInFromStore(const ObjectId& id);
 
   // Installs a checkpoint image's object entries into a restart (creating
-  // dyn entries through the factory registry), filling `ckpt_lsn` and
-  // counting each installed state into `*installed`. With
+  // dyn entries through the factory registry), recording each entry's LSN
+  // in its slot and counting each installed state into `*installed`. With
   // `deferred` non-null (lazy store restart), dyn entries for objects the
   // directory does not know are not materialized — they are parked in
-  // `deferred` (still entered into `ckpt_lsn`) for on-demand install.
-  Status InstallImageObjects(
-      ReplayContext& ctx, const CheckpointImage& image,
-      std::map<ObjectId, Lsn>* ckpt_lsn,
-      std::map<ObjectId, const CheckpointImage::ObjectEntry*>* deferred,
-      size_t* installed);
+  // their slots (Slot::deferred) for on-demand install and counted into
+  // `*deferred`.
+  Status InstallImageObjects(ReplayContext& ctx, const CheckpointImage& image,
+                             size_t* installed, size_t* deferred);
 
   // Commits a batch-atomic transaction under one multi-object commit
   // record; returns the highest LSN the transaction must wait on. Falls

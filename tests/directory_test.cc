@@ -229,6 +229,32 @@ TEST(LifecycleTest, GetOrCreateUnknownFactoryIsNotFound) {
   EXPECT_EQ(manager.object("X"), nullptr);
 }
 
+// Ids the journal cannot frame (empty, or holding a space, control byte or
+// DEL) are refused before anything is built or journaled — not left to
+// abort the process when the lifecycle record is encoded.
+TEST(LifecycleTest, GetOrCreateRefusesIdsTheJournalCannotFrame) {
+  Journal journal;
+  TxnManager manager;
+  RegisterCounterFactory(&manager);
+  manager.set_lifecycle_journal(&journal);
+  const Lsn before = journal.high_lsn();
+  for (const std::string& id :
+       {std::string("a b"), std::string("a\tb"), std::string("a\vb"),
+        std::string(""), std::string("a\x7f" "b"),
+        std::string("a\0b", 3)}) {
+    const StatusOr<AtomicObject*> created =
+        manager.GetOrCreate(id, kCounterFactory);
+    EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument)
+        << "id '" << id << "'";
+    EXPECT_EQ(manager.object(id), nullptr);
+  }
+  EXPECT_EQ(journal.high_lsn(), before);
+  EXPECT_EQ(manager.directory_stats().creates, 0u);
+  // The rule admits every printable, high-byte or punctuation id.
+  EXPECT_TRUE(manager.GetOrCreate("k:50%-\xc3\xa9", kCounterFactory).ok());
+  EXPECT_EQ(journal.high_lsn(), before + 1);
+}
+
 TEST(LifecycleTest, DropUnknownObjectIsNotFound) {
   TxnManager manager;
   EXPECT_EQ(manager.DropObject("X").code(), StatusCode::kNotFound);

@@ -5,6 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
+#include <cstdlib>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "adt/bank_account.h"
 #include "adt/kv_store.h"
 #include "common/random.h"
@@ -29,6 +35,43 @@ TEST(ValueIoTest, RoundTripsAllTypes) {
 TEST(ValueIoTest, RejectsMalformedLiterals) {
   for (const char* bad : {"", "x", "q:1", "i:", "i:abc", "b:maybe", "u:x"}) {
     EXPECT_FALSE(ParseValue(bad).ok()) << bad;
+  }
+}
+
+// The wire and history codecs share ParseValue, so its accepted int
+// literals stay exactly those of strtoll over the body's C string: leading
+// C-locale whitespace and one sign are accepted, the body ends at its
+// first NUL, and overflow is refused.
+TEST(ValueIoTest, IntLiteralsMatchStrtoll) {
+  const auto reference = [](const std::string& body) -> std::optional<int64_t> {
+    errno = 0;
+    char* end = nullptr;
+    const long long v = std::strtoll(body.c_str(), &end, 10);
+    if (body.empty() || *end != '\0' || errno != 0) return std::nullopt;
+    return static_cast<int64_t>(v);
+  };
+  std::vector<std::string> bodies = {
+      "0", "-0", "+7", " 7", "\t-7", "\v\f\r\n 12", "7 ", "- 7", "+-7",
+      "--7", "0x10", "007", "+", "-", " ", "9223372036854775807",
+      "9223372036854775808", "-9223372036854775808", "-9223372036854775809",
+      "99999999999999999999", std::string("5\0x", 3), std::string("\0", 1),
+      std::string(" \0", 2), std::string("-\0" "5", 3)};
+  Random rng(11);
+  const char kAlphabet[] = " \t\v+-0123456789x\0";
+  const std::string alphabet(kAlphabet, sizeof(kAlphabet) - 1);
+  for (int i = 0; i < 20000; ++i) {
+    std::string body;
+    const size_t len = 1 + rng.Uniform(6);
+    for (size_t k = 0; k < len; ++k) body += alphabet[rng.Uniform(alphabet.size())];
+    bodies.push_back(body);
+  }
+  for (const std::string& body : bodies) {
+    const StatusOr<Value> parsed = ParseValue("i:" + body);
+    const std::optional<int64_t> expected = reference(body);
+    ASSERT_EQ(parsed.ok(), expected.has_value()) << "body '" << body << "'";
+    if (expected.has_value()) {
+      EXPECT_EQ(parsed->AsInt(), *expected) << body;
+    }
   }
 }
 

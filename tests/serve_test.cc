@@ -218,6 +218,56 @@ TEST(ServeFrontendTest, DemotionAttributesErrorsToTheCulprit) {
   frontend.Stop();
 }
 
+// The wire codec carries any object id, so one request can name an id the
+// journal cannot frame. Under a durable pipeline with lifecycle journaling
+// it must fail alone with kInvalidArgument — never reach the journal
+// encoder, whose flusher would abort the whole server.
+TEST(ServeFrontendTest, UnframableIdFailsOnlyItsSubmission) {
+  ServedSystem sys;
+  sys.manager.RegisterFactory("counter", [](const ObjectId& id) {
+    std::shared_ptr<Counter> ctr = MakeCounter(id);
+    ObjectConfig config;
+    config.adt = ctr;
+    config.conflict = MakeNrbcConflict(ctr);
+    config.recovery = std::make_unique<UipRecovery>(ctr);
+    return config;
+  });
+  sys.manager.set_lifecycle_journal(&sys.journal);
+  ServeFrontend frontend(&sys.manager, ManualDrive());
+  std::atomic<int> ok{0};
+  std::atomic<int> refused{0};
+  const auto expect_ok = [&ok](const Status& s, std::vector<Value>) {
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    ok.fetch_add(1);
+  };
+  ASSERT_TRUE(frontend.SubmitAsync({sys.Inc(0)}, expect_ok).ok());
+  const auto hostile = MakeCounter("a b");
+  ASSERT_TRUE(frontend
+                  .SubmitAsync({BatchOp{"a b", "counter", hostile->IncInv(1)}},
+                               [&refused](const Status& s,
+                                          std::vector<Value> values) {
+                                 EXPECT_EQ(s.code(),
+                                           StatusCode::kInvalidArgument)
+                                     << s.ToString();
+                                 EXPECT_TRUE(values.empty());
+                                 refused.fetch_add(1);
+                               })
+                  .ok());
+  ASSERT_TRUE(frontend.SubmitAsync({sys.Inc(1)}, expect_ok).ok());
+  EXPECT_EQ(frontend.PumpOnce(), 3u);
+  frontend.Drain();
+  EXPECT_EQ(ok.load(), 2);
+  EXPECT_EQ(refused.load(), 1);
+  EXPECT_EQ(frontend.stats().completed_error, 1u);
+  EXPECT_EQ(sys.manager.object("a b"), nullptr);
+  // Only the good submissions reached the journal: no create record.
+  EXPECT_EQ(sys.JournalOps(), 2u);
+  for (const Journal::Entry& entry : sys.journal.Entries()) {
+    EXPECT_FALSE(entry.is_lifecycle);
+  }
+  frontend.Stop();
+}
+
 // The future-returning convenience resolves with the submission's values
 // (worker-driven this time), and admission failures resolve immediately.
 TEST(ServeFrontendTest, SubmitFutureDeliversValues) {

@@ -259,28 +259,30 @@ void AuditCrashImage(const SystemFactory& factory, const Journal& journal,
   // created ids are back.
   result.state_matches_prefix = AuditStateAgainstPrefix(&restarted, prefix);
 
-  // Audit 4: multi-object commit records are all-or-nothing. After replay
-  // an object's last_committed_lsn is the highest replayed record LSN
-  // naming it, and per-object records are totally ordered in the journal —
-  // so record L was applied at object o iff last_committed_lsn(o) >= L.
-  // A batch record applied at a strict, non-empty subset of its objects is
-  // a torn batch.
+  // Audit 4: transactions are all-or-nothing. After replay an object's
+  // last_committed_lsn is the highest replayed record LSN naming it, and
+  // per-object records are totally ordered in the journal — so record L
+  // was applied at object o iff last_committed_lsn(o) >= L. The run's
+  // commit records are grouped by transaction id, whatever their number:
+  // a transaction applied at a strict, non-empty subset of the objects it
+  // wrote is torn.
+  std::map<TxnId, std::map<ObjectId, Lsn>> written;  // txn -> object -> LSN
   for (size_t i = 0; i < full.size(); ++i) {
     const Journal::Entry& entry = full[i];
     if (entry.is_lifecycle) continue;
-    std::set<ObjectId> batch_objects;
-    for (const Operation& op : entry.commit.ops) {
-      batch_objects.insert(op.object());
-    }
-    if (batch_objects.size() < 2) continue;
-    ++result.batch_records_total;
     const Lsn lsn = static_cast<Lsn>(i) + 1;
+    std::map<ObjectId, Lsn>& objects = written[entry.commit.txn];
+    for (const Operation& op : entry.commit.ops) objects[op.object()] = lsn;
+  }
+  for (const auto& [txn, objects] : written) {
+    if (objects.size() < 2) continue;
+    ++result.batch_records_total;
     size_t applied = 0;
-    for (const ObjectId& id : batch_objects) {
+    for (const auto& [id, lsn] : objects) {
       AtomicObject* obj = restarted.object(id);
       if (obj != nullptr && obj->last_committed_lsn() >= lsn) ++applied;
     }
-    if (applied == batch_objects.size()) {
+    if (applied == objects.size()) {
       ++result.batch_records_recovered;
     } else if (applied != 0) {
       ++result.batch_records_partial;

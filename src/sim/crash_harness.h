@@ -70,14 +70,16 @@ struct CrashScenarioResult {
   bool state_matches_prefix = false;    // audit (2) above
   bool acked_recovered = false;         // audit (3) above
 
-  // Audit (4), batch atomicity: a multi-object commit record (ExecuteBatch
-  // transactions touching >1 object) must be all-or-nothing across its
-  // objects after restart. Measured per record against each named object's
-  // recovered last_committed_lsn: `partial` counts records some but not
-  // all of whose objects reflect them — must be 0 at every crash offset.
-  // (Meaningful for workloads without lifecycle churn of the batch ids; an
-  // incarnation reset rewinds last_committed_lsn.)
-  size_t batch_records_total = 0;      // multi-object records journaled
+  // Audit (4), transaction atomicity: a transaction that wrote more than
+  // one object — through Execute or ExecuteBatch — must be all-or-nothing
+  // across them after restart. The run's commit records are grouped by
+  // transaction id and measured against each written object's recovered
+  // last_committed_lsn: `partial` counts transactions some but not all of
+  // whose objects reflect them — must be 0 at every crash offset.
+  // (Meaningful for workloads without lifecycle churn of the written ids;
+  // an incarnation reset rewinds last_committed_lsn.) The fields keep
+  // their batch_records_* names for the benches and tests that read them.
+  size_t batch_records_total = 0;      // multi-object transactions journaled
   size_t batch_records_recovered = 0;  // fully applied at every object
   size_t batch_records_partial = 0;    // applied at a strict subset
 
@@ -101,7 +103,7 @@ CrashScenarioResult RunCrashScenario(const SystemFactory& factory,
 // the serving ack IS the durability promise the audits check:
 //
 //   1-4. the RunCrashScenario audits (prefix, state, acked-recovered,
-//        batch atomicity) over the coalesced commit records;
+//        transaction atomicity) over the coalesced commit records;
 //   5.   conservation: the journal's op count equals the ops delivered
 //        with OK acks — shed and failed submissions left no trace, acked
 //        ones exactly their ops;

@@ -71,45 +71,6 @@ void AtomicObject::WakeKilled(TxnId txn) {
   }
 }
 
-StatusOr<Value> AtomicObject::Execute(Transaction* txn,
-                                      const Invocation& inv) {
-  CCR_CHECK(txn != nullptr);
-  if (inv.object() != id_) {
-    return Status::InvalidArgument(
-        StrFormat("invocation for %s sent to %s", inv.object().c_str(),
-                  id_.c_str()));
-  }
-  if (!txn->active()) {
-    return Status::IllegalState("transaction is not active");
-  }
-  txn->Touch(this);
-  if (recorder_ != nullptr) recorder_->Record(Event::Invoke(txn->id(), inv));
-
-  referenced_.store(true, std::memory_order_relaxed);
-  std::unique_lock<std::mutex> lk(mu_);
-  if (dropped_) {
-    // The caller's directory lookup raced a Drop: the pointer is still
-    // valid (graveyard), the object is gone. No lock was acquired here.
-    return Status::NotFound("object " + id_ + " was dropped");
-  }
-  CCR_RETURN_IF_ERROR(FaultInLocked());
-  Waiter waiter(txn->id());
-  bool enqueued = false;
-  const auto enqueue_time = std::chrono::steady_clock::now();
-
-  StatusOr<Value> result = ExecuteLoop(txn, inv, lk, waiter, enqueued);
-
-  if (enqueued) {
-    queue_.remove(&waiter);
-    txn->set_waiting_at(nullptr);
-    stats_.wait_time_us.Record(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - enqueue_time)
-            .count()));
-  }
-  return result;
-}
-
 StatusOr<Value> AtomicObject::ExecuteLoop(Transaction* txn,
                                           const Invocation& inv,
                                           std::unique_lock<std::mutex>& lk,
@@ -232,14 +193,10 @@ StatusOr<Value> AtomicObject::ExecuteLoop(Transaction* txn,
 }
 
 Status AtomicObject::ExecuteGroup(Transaction* txn,
-                                  const std::vector<const Invocation*>& invs,
-                                  std::vector<Value>* out) {
-  CCR_CHECK(txn != nullptr && out != nullptr);
-  out->clear();
+                                  std::span<const Invocation* const> invs,
+                                  std::span<Value> out) {
+  CCR_CHECK(txn != nullptr && out.size() == invs.size());
   if (invs.empty()) return Status::OK();
-  if (!txn->active()) {
-    return Status::IllegalState("transaction is not active");
-  }
   for (const Invocation* inv : invs) {
     if (inv->object() != id_) {
       return Status::InvalidArgument(
@@ -247,26 +204,30 @@ Status AtomicObject::ExecuteGroup(Transaction* txn,
                     id_.c_str()));
     }
   }
+  if (!txn->active()) {
+    return Status::IllegalState("transaction is not active");
+  }
   txn->Touch(this);
-  out->reserve(invs.size());
 
   referenced_.store(true, std::memory_order_relaxed);
   std::unique_lock<std::mutex> lk(mu_);
   if (dropped_) {
+    // The caller's directory lookup raced a Drop: the pointer is still
+    // valid (graveyard), the object is gone. No lock was acquired here.
     return Status::NotFound("object " + id_ + " was dropped");
   }
   CCR_RETURN_IF_ERROR(FaultInLocked());
   Waiter waiter(txn->id());
-  for (const Invocation* inv : invs) {
-    // Invoke is recorded under mu_ here (Execute records it before taking
-    // mu_): the recorder shard's mutex is a leaf below every object mutex,
-    // and per-object event order is what the checkers rely on.
+  for (size_t i = 0; i < invs.size(); ++i) {
+    // Invoke is recorded under mu_: the recorder shard's mutex is a leaf
+    // below every object mutex, and per-object event order is what the
+    // checkers rely on.
     if (recorder_ != nullptr) {
-      recorder_->Record(Event::Invoke(txn->id(), *inv));
+      recorder_->Record(Event::Invoke(txn->id(), *invs[i]));
     }
     bool enqueued = false;
     const auto enqueue_time = std::chrono::steady_clock::now();
-    StatusOr<Value> result = ExecuteLoop(txn, *inv, lk, waiter, enqueued);
+    StatusOr<Value> result = ExecuteLoop(txn, *invs[i], lk, waiter, enqueued);
     if (enqueued) {
       queue_.remove(&waiter);
       txn->set_waiting_at(nullptr);
@@ -280,68 +241,48 @@ Status AtomicObject::ExecuteGroup(Transaction* txn,
       waiter.blockers.clear();
     }
     if (!result.ok()) return result.status();
-    out->push_back(std::move(*result));
+    out[i] = std::move(*result);
   }
   return Status::OK();
 }
 
-std::unique_lock<std::mutex> AtomicObject::LockForBatchCommit() {
+StatusOr<Value> AtomicObject::Execute(Transaction* txn,
+                                      const Invocation& inv) {
+  const Invocation* const invs[] = {&inv};
+  Value result;
+  CCR_RETURN_IF_ERROR(ExecuteGroup(txn, invs, std::span<Value>(&result, 1)));
+  return result;
+}
+
+std::unique_lock<std::mutex> AtomicObject::LockForCommit() {
   return std::unique_lock<std::mutex>(mu_);
 }
 
-Lsn AtomicObject::CommitBatchedLocked(TxnId txn, OpSeq* redo) {
-  // Mirror of Commit's critical section with journaling lifted out: the
-  // caller appends one record for the whole batch and installs its LSN via
-  // InstallBatchLsnLocked. The detector Forget is the manager's (it issues
-  // one for the whole transaction after the batch unlocks).
-  const Lsn fallback = recovery_->CommitForBatch(txn, redo);
-  if (fallback != kNoLsn) last_lsn_ = fallback;
+void AtomicObject::CollectCommitLocked(TxnId txn, OpSeq* redo) {
+  // The caller appends the record and hands its LSN to
+  // FinalizeCommitLocked; the detector Forget is the manager's (it issues
+  // one for the whole transaction after the objects unlock).
+  recovery_->CollectCommit(txn, redo);
   ++commit_tick_;
   held_.erase(txn);
+  // Recorded under mu_ so the object-local event order matches effect
+  // order — dynamic atomicity is a local property (Lemma 1), so per-object
+  // order is exactly what the offline checkers rely on.
   if (recorder_ != nullptr) recorder_->Record(Event::Commit(txn, id_));
   WakeOnFinishLocked(txn);
-  return fallback;
 }
 
-void AtomicObject::InstallBatchLsnLocked(Lsn lsn) {
-  if (lsn != kNoLsn && lsn > last_lsn_) last_lsn_ = lsn;
-}
-
-void AtomicObject::FinalizeBatchCommitLocked(TxnId txn) {
-  recovery_->FinalizeBatchCommit(txn);
-}
-
-Lsn AtomicObject::Commit(TxnId txn) {
-  Lsn lsn = kNoLsn;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // Under a group-commit pipeline this only *sequences* the commit
-    // record (assigns its LSN, enqueues it) — the fdatasync happens on the
-    // flusher thread after mu_ is released, so the waiters woken below run
-    // during the sync instead of behind it.
-    lsn = recovery_->Commit(txn);
-    if (lsn != kNoLsn) last_lsn_ = lsn;
-    ++commit_tick_;
-    held_.erase(txn);
-    // Recorded under mu_ so the object-local event order matches effect
-    // order — dynamic atomicity is a local property (Lemma 1), so per-object
-    // order is exactly what the offline checkers rely on.
-    if (recorder_ != nullptr) recorder_->Record(Event::Commit(txn, id_));
-    WakeOnFinishLocked(txn);
-  }
-  if (detector_ != nullptr) detector_->Forget(txn);
-  return lsn;
+void AtomicObject::FinalizeCommitLocked(TxnId txn, Lsn lsn) {
+  recovery_->FinalizeCommit(txn);
+  if (lsn > last_lsn_) last_lsn_ = lsn;
 }
 
 void AtomicObject::Abort(TxnId txn) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    recovery_->Abort(txn);
-    held_.erase(txn);
-    if (recorder_ != nullptr) recorder_->Record(Event::Abort(txn, id_));
-    WakeOnFinishLocked(txn);
-  }
-  if (detector_ != nullptr) detector_->Forget(txn);
+  std::lock_guard<std::mutex> lock(mu_);
+  recovery_->Abort(txn);
+  held_.erase(txn);
+  if (recorder_ != nullptr) recorder_->Record(Event::Abort(txn, id_));
+  WakeOnFinishLocked(txn);
 }
 
 Status AtomicObject::ReplayCommitted(TxnId txn, const OpSeq& ops, Lsn lsn) {
@@ -382,7 +323,7 @@ std::unique_ptr<SpecState> AtomicObject::CommittedState() {
 
 AtomicObject::CheckpointSnapshot AtomicObject::SnapshotForCheckpoint() const {
   std::lock_guard<std::mutex> lock(mu_);
-  // State and LSN under one acquisition of the mutex that Commit sequences
+  // State and LSN under one acquisition of the mutex commits sequence their
   // records under: every record with lsn <= last_lsn_ is in this state,
   // every later one is not — the exact page-LSN pairing fuzzy replay needs.
   CheckpointSnapshot snap;
@@ -445,10 +386,19 @@ StatusOr<AtomicObject::EvictTicket> AtomicObject::BeginEvict() {
   return ticket;
 }
 
+bool AtomicObject::EvictTicketCurrentLocked(const EvictTicket& ticket) const {
+  return !dropped_ && !evicted_ && held_.empty() && queue_.empty() &&
+         commit_tick_ == ticket.tick;
+}
+
+bool AtomicObject::EvictTicketCurrent(const EvictTicket& ticket) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return EvictTicketCurrentLocked(ticket);
+}
+
 bool AtomicObject::FinishEvict(const EvictTicket& ticket) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (dropped_ || evicted_ || !held_.empty() || !queue_.empty() ||
-      commit_tick_ != ticket.tick) {
+  if (!EvictTicketCurrentLocked(ticket)) {
     // The object moved on between BeginEvict and here (new commit, new
     // waiter, a drop). The image already written is stale but sound — its
     // LSN is monotone over any older image — so just abandon the eviction.

@@ -31,6 +31,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <utility>
 
 #include "common/latency_recorder.h"
@@ -101,58 +102,45 @@ class AtomicObject {
     kill_fn_ = std::move(kill_fn);
   }
 
-  // Executes one operation for `txn`, blocking on conflicts and disabled
-  // partial operations. Errors:
+  // Executes a group of operations for `txn` under ONE acquisition of this
+  // object's mutex, blocking on conflicts and disabled partial operations
+  // (one waiter frame reused across the group). invs[i]'s result lands in
+  // out[i]; `out` must be as long as `invs`. The first failing op fails the
+  // whole call (the caller aborts the transaction, which releases the
+  // earlier ops' locks). Errors:
   //   kDeadlock — `txn` was chosen as a victim (caller must abort it),
   //   kTimedOut — the lock timeout elapsed,
   //   kInvalidArgument — invocation addressed to a different object.
+  Status ExecuteGroup(Transaction* txn,
+                      std::span<const Invocation* const> invs,
+                      std::span<Value> out);
+
+  // One-op ExecuteGroup.
   StatusOr<Value> Execute(Transaction* txn, const Invocation& inv);
 
-  // Batch fast path: executes a group of operations for `txn` under ONE
-  // acquisition of this object's mutex, each invocation running through the
-  // same conflict/blocking machinery as Execute (one waiter frame reused
-  // across the group). invs[i]'s result lands in out->at(i). The first
-  // failing op fails the whole call (same errors as Execute; the caller
-  // aborts the transaction, which releases the earlier ops' locks).
-  Status ExecuteGroup(Transaction* txn,
-                      const std::vector<const Invocation*>& invs,
-                      std::vector<Value>* out);
-
-  // Commit/abort this transaction's work at this object: release its
-  // operation locks, let recovery finalize or undo, and wake the waiters
-  // blocked on it. Called by the manager for each touched object. Commit
-  // returns the LSN its commit record was sequenced at (kNoLsn when
-  // nothing was journaled); under a group-commit pipeline the object lock
-  // is released on return with durability still pending — the manager
-  // waits for the LSN *after* releasing every touched object (early lock
-  // release).
-  Lsn Commit(TxnId txn);
+  // Aborts this transaction's work at this object: releases its operation
+  // locks, lets recovery undo, and wakes the waiters blocked on it. Called
+  // by the manager for each touched object.
   void Abort(TxnId txn);
 
-  // Multi-object commit-record protocol (TxnManager::CommitBatchAtomic).
-  // The manager commits a batch transaction with ONE journal append: it
-  // locks every touched object's commit mutex in canonical (ObjectId sort)
-  // order via LockForBatchCommit, finalizes each object with
-  // CommitBatchedLocked — which folds the object's redo ops into the shared
-  // record, releases the transaction's operation locks, and wakes waiters —
-  // appends the single multi-object record while still holding ALL the
-  // locks (so the record's LSN orders before any record that can read from
-  // this batch, preserving the early-lock-release safety argument), then
-  // installs the LSN at each contributing object with InstallBatchLsnLocked,
-  // runs each object's deferred commit state transition with
-  // FinalizeBatchCommitLocked (after the append, so the group-commit sync
-  // overlaps the fold work instead of queueing behind it), and only then
-  // releases. CommitBatchedLocked returns the LSN of a record the recovery
-  // manager journaled on its own (the base-class fallback for managers
-  // without batch support); kNoLsn when the ops were deferred to the
-  // caller's record. All *Locked calls require the lock returned by
-  // LockForBatchCommit to be held; the same mutex also pairs state and LSN
-  // for SnapshotForCheckpoint, so a fuzzy checkpoint can never observe the
-  // batch's state without its LSN.
-  std::unique_lock<std::mutex> LockForBatchCommit();
-  Lsn CommitBatchedLocked(TxnId txn, OpSeq* redo);
-  void InstallBatchLsnLocked(Lsn lsn);
-  void FinalizeBatchCommitLocked(TxnId txn);
+  // Commit protocol (TxnManager::CommitAsync). The manager commits every
+  // transaction with ONE journal append: it locks every touched object in
+  // canonical (ObjectId sort) order via LockForCommit, runs
+  // CollectCommitLocked at each — which folds the object's redo ops into
+  // the shared record, releases the transaction's operation locks, and
+  // wakes waiters — appends the record while still holding ALL the locks
+  // (so the record's LSN orders before any record that can read from this
+  // transaction, preserving the early-lock-release safety argument), then
+  // runs FinalizeCommitLocked at each object: the deferred commit state
+  // transition (after the append, so the group-commit sync overlaps the
+  // fold work instead of queueing behind it) plus the install of the
+  // record's LSN (kNoLsn: the object contributed no ops). Both *Locked
+  // calls require the lock returned by LockForCommit to be held; the same
+  // mutex also pairs state and LSN for SnapshotForCheckpoint, so a fuzzy
+  // checkpoint can never observe the transaction's state without its LSN.
+  std::unique_lock<std::mutex> LockForCommit();
+  void CollectCommitLocked(TxnId txn, OpSeq* redo);
+  void FinalizeCommitLocked(TxnId txn, Lsn lsn);
 
   // Wakes `txn`'s waiter (if it is blocked here) so a kill is observed
   // immediately instead of at the next timeout. Called by TxnManager::Kill
@@ -210,12 +198,13 @@ class AtomicObject {
   //      and its LSN.
   //   2. The caller makes the image durable enough (WaitDurable on the
   //      ticket LSN so the image never reflects records the journal could
-  //      still lose), then Puts the image and calls FinishEvict inside
-  //      one store-mutex critical section — an object observed evicted
-  //      under the store mutex therefore always has a store image at
-  //      exactly its last committed LSN, which is what FaultInLocked's
-  //      LSN-equality check and the checkpoint batch's staleness skip
-  //      both rely on.
+  //      still lose), then — inside one store-mutex critical section —
+  //      skips a stale ticket (EvictTicketCurrent: another eviction may
+  //      have stored a newer image meanwhile), Puts the image and calls
+  //      FinishEvict. An object observed evicted under the store mutex
+  //      therefore always has a store image at exactly its last committed
+  //      LSN, which is what FaultInLocked's LSN-equality check and the
+  //      checkpoint batch's staleness skip both rely on.
   //   3. FinishEvict: re-checks that nothing moved (still quiescent,
   //      commit tick unchanged); on success frees the state and marks the
   //      object evicted. Returns false when the object moved on — the
@@ -237,6 +226,9 @@ class AtomicObject {
   };
   StatusOr<EvictTicket> BeginEvict();
   bool FinishEvict(const EvictTicket& ticket);
+  // Whether FinishEvict would still accept `ticket` (nothing moved since
+  // BeginEvict).
+  bool EvictTicketCurrent(const EvictTicket& ticket) const;
   bool evicted() const;
 
   // Fault handler: fetches this object's (encoded state, lsn) image from
@@ -315,10 +307,12 @@ class AtomicObject {
   };
 
   // The wait loop proper; called with `lk` held, returns with it held.
-  // Queue registration/cleanup is handled by Execute around this.
+  // Queue registration/cleanup is handled by ExecuteGroup around this.
   StatusOr<Value> ExecuteLoop(Transaction* txn, const Invocation& inv,
                               std::unique_lock<std::mutex>& lk,
                               Waiter& waiter, bool& enqueued);
+
+  bool EvictTicketCurrentLocked(const EvictTicket& ticket) const;
 
   // Installs the store image over the evicted placeholder; caller holds
   // mu_. No-op when resident.

@@ -3,7 +3,6 @@
 #include "txn/du_recovery.h"
 
 #include "common/macros.h"
-#include "txn/journal.h"
 
 namespace ccr {
 
@@ -47,43 +46,24 @@ void DuRecovery::Apply(TxnId txn, const Operation& op,
   ws.state = std::move(next);
 }
 
-Lsn DuRecovery::Commit(TxnId txn) {
+void DuRecovery::CollectCommit(TxnId txn, OpSeq* redo) {
+  // The intentions list is literally the redo record: copy it into the
+  // caller's commit record. The application to the base — DU's entire
+  // commit cost — waits for FinalizeCommit so it overlaps the record's
+  // group-commit sync. A workspace created by Candidates alone (every
+  // invocation disabled) has no intentions and contributes nothing.
   ++stats_.commits;
   auto it = workspaces_.find(txn);
-  if (it == workspaces_.end()) return kNoLsn;  // read-free transaction
-  Lsn lsn = kNoLsn;
-  if (journal_ != nullptr && !it->second.intentions.empty()) {
-    // The intentions list is literally the redo record. A workspace created
-    // by Candidates alone (every invocation disabled) has no intentions and
-    // therefore no record — journaling it would write an empty record.
-    lsn = journal_->AppendCommit(txn, it->second.intentions);
-  }
-  ApplyIntentions(it);
-  return lsn;
-}
-
-Lsn DuRecovery::CommitForBatch(TxnId txn, OpSeq* redo) {
-  // Collect phase: copy the intentions (they double as the redo record)
-  // into the caller's multi-object record; the application to the base —
-  // DU's entire commit cost — waits for FinalizeBatchCommit so it overlaps
-  // the batch record's group-commit sync.
-  ++stats_.commits;
-  auto it = workspaces_.find(txn);
-  if (it == workspaces_.end()) return kNoLsn;  // read-free transaction
-  if (journal_ != nullptr && !it->second.intentions.empty()) {
+  if (it == workspaces_.end()) return;  // read-free transaction
+  if (journal_ != nullptr) {
     redo->insert(redo->end(), it->second.intentions.begin(),
                  it->second.intentions.end());
   }
-  return kNoLsn;
 }
 
-void DuRecovery::FinalizeBatchCommit(TxnId txn) {
+void DuRecovery::FinalizeCommit(TxnId txn) {
   auto it = workspaces_.find(txn);
   if (it == workspaces_.end()) return;  // read-free transaction
-  ApplyIntentions(it);
-}
-
-void DuRecovery::ApplyIntentions(std::map<TxnId, Workspace>::iterator it) {
   // Apply the intentions list to the base copy, in list order.
   for (const Operation& op : it->second.intentions) {
     auto nexts = adt_->spec().Next(*base_, op);

@@ -29,10 +29,9 @@ class DuRecovery final : public RecoveryManager {
   std::vector<Outcome> Candidates(TxnId txn, const Invocation& inv) override;
   void Apply(TxnId txn, const Operation& op,
              std::unique_ptr<SpecState> next) override;
-  Lsn Commit(TxnId txn) override;
+  void CollectCommit(TxnId txn, OpSeq* redo) override;
+  void FinalizeCommit(TxnId txn) override;
   void Abort(TxnId txn) override;
-  Lsn CommitForBatch(TxnId txn, OpSeq* redo) override;
-  void FinalizeBatchCommit(TxnId txn) override;
   std::unique_ptr<SpecState> CurrentState() const override;
   std::unique_ptr<SpecState> CommittedState() const override;
   void InstallCommittedState(std::unique_ptr<SpecState> state) override;
@@ -49,11 +48,6 @@ class DuRecovery final : public RecoveryManager {
   // Returns the up-to-date workspace for `txn`, rebuilding its cached state
   // if the base has advanced since it was computed.
   Workspace& Refresh(TxnId txn);
-
-  // Applies `it`'s intentions to the base in list order, retires the
-  // workspace, and bumps the base version — the commit state transition,
-  // shared by Commit and FinalizeBatchCommit.
-  void ApplyIntentions(std::map<TxnId, Workspace>::iterator it);
 
   std::shared_ptr<const Adt> adt_;
   std::unique_ptr<SpecState> base_;  // committed state, in commit order

@@ -4,9 +4,9 @@
 // critical section.
 //
 // PR 3 wired durability into the worst possible place for concurrency:
-// AtomicObject::Commit holds the object mutex while the journal frames the
-// commit record and the sink issues a per-record fdatasync, so every
-// durable commit stalls every waiter on that object for a full disk sync.
+// the commit held the object mutex while the journal framed the commit
+// record and the sink issued a per-record fdatasync, so every durable
+// commit stalled every waiter on that object for a full disk sync.
 // This pipeline splits the commit path in two:
 //
 //   * SEQUENCE (under the object/journal locks, cheap): the committing

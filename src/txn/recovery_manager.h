@@ -4,7 +4,9 @@
 // functions (Section 5) for the runtime engine. A recovery manager owns the
 // representation of one object's state and answers three questions: what
 // outcomes are possible for an invocation in a transaction's view, how to
-// record a chosen operation, and what to do at commit/abort.
+// record a chosen operation, and what to do at commit/abort. Commit is two
+// phases (collect the redo ops, finalize the state) so the transaction
+// manager can journal every touched object's ops as one record in between.
 //
 // Managers are not thread-safe; the owning AtomicObject's mutex guards them.
 
@@ -41,8 +43,8 @@ class RecoveryManager {
 
   virtual std::string name() const = 0;
 
-  // Attaches a redo journal: from now on, every commit appends the
-  // transaction's operations as one commit record (crash-recovery support;
+  // Attaches a redo journal: from now on, CollectCommit hands out the
+  // transaction's operations for its commit record (crash-recovery support;
   // see txn/journal.h). Optional; set before first use.
   void set_journal(Journal* journal) { journal_ = journal; }
   Journal* journal() const { return journal_; }
@@ -58,35 +60,37 @@ class RecoveryManager {
   virtual void Apply(TxnId txn, const Operation& op,
                      std::unique_ptr<SpecState> next) = 0;
 
-  // Finalizes `txn` at this object. Returns the LSN of the commit record
-  // this call sequenced into the attached journal (kNoLsn when no journal
-  // is attached or the transaction journaled nothing) — the caller must
-  // not acknowledge the transaction until that LSN is durable.
-  virtual Lsn Commit(TxnId txn) = 0;
+  // Commit, phase 1 (collect): marks `txn` committed here and appends its
+  // redo operations — in the order replay must apply them, and only when a
+  // journal is attached — to *redo. The caller folds every touched object's
+  // ops into ONE commit record and journals it once, reporting the record's
+  // LSN back through the owning object. Implementations keep this phase
+  // cheap and leave the state transition to FinalizeCommit: the caller
+  // appends the record between the two phases, so the group-commit sync
+  // overlaps the fold work instead of waiting behind it.
+  virtual void CollectCommit(TxnId txn, OpSeq* redo) = 0;
+
+  // Commit, phase 2 (finalize): the state transition (UIP's checkpoint
+  // fold, DU's intention application). Called exactly once after
+  // CollectCommit, under the same continuous hold of the owning object's
+  // mutex.
+  virtual void FinalizeCommit(TxnId txn) = 0;
+
   virtual void Abort(TxnId txn) = 0;
 
-  // Batch-commit variant, phase 1 (collect): instead of journaling this
-  // object's redo record, appends its operations (in the order Commit would
-  // have journaled them, and only when a journal is attached) to *redo —
-  // the caller folds several objects' ops into ONE multi-object commit
-  // record and journals it once, reporting the record's LSN back through
-  // the owning object. Implementations keep this phase cheap and defer any
-  // expensive state folding to FinalizeBatchCommit: the caller appends the
-  // record between the two phases, so the group-commit sync overlaps the
-  // fold work instead of waiting behind it. The base default degrades to
-  // per-object Commit (collect and finalize in one step) and returns the
-  // LSN it journaled; overrides that defer to the caller return kNoLsn.
-  virtual Lsn CommitForBatch(TxnId txn, OpSeq* redo) {
-    (void)redo;
-    return Commit(txn);
+  // Both commit phases for a transaction known only to this object, with
+  // its record appended to the attached journal in between. Returns the
+  // record's LSN (kNoLsn when no journal is attached or the transaction
+  // journaled nothing). Crash replay uses it with the journal detached.
+  Lsn Commit(TxnId txn) {
+    OpSeq redo;
+    CollectCommit(txn, &redo);
+    const Lsn lsn = journal_ == nullptr || redo.empty()
+                        ? kNoLsn
+                        : journal_->AppendCommit(txn, std::move(redo));
+    FinalizeCommit(txn);
+    return lsn;
   }
-
-  // Batch-commit phase 2 (finalize): the deferred state transition of
-  // CommitForBatch (UIP's checkpoint fold, DU's intention application).
-  // Called exactly once after CommitForBatch, under the same continuous
-  // hold of the owning object's mutex. Default no-op, pairing with the
-  // base CommitForBatch fallback that already finalized via Commit.
-  virtual void FinalizeBatchCommit(TxnId txn) { (void)txn; }
 
   // Snapshot of the state all *non-aborted* work yields under this method's
   // view semantics (UIP: the single current state; DU: the committed base).

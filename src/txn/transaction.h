@@ -70,12 +70,6 @@ class Transaction {
   // Objects this transaction executed operations at (commit/abort scope).
   const std::vector<AtomicObject*>& touched() const { return touched_; }
 
-  // Whether this transaction went through ExecuteBatch: its commit folds
-  // every touched object's redo record into one multi-object commit record
-  // (one LSN, one group-commit watermark wait). Set by the manager; only
-  // the driving thread reads it.
-  bool batch_atomic() const { return batch_atomic_; }
-
  private:
   friend class TxnManager;
   friend class AtomicObject;
@@ -89,11 +83,9 @@ class Transaction {
 
   void set_state(TxnState state) { state_ = state; }
   void set_waiting_at(AtomicObject* object) { waiting_at_.store(object); }
-  void set_batch_atomic() { batch_atomic_ = true; }
 
   const TxnId id_;
   TxnState state_ = TxnState::kActive;
-  bool batch_atomic_ = false;
   std::atomic<TxnResolution> resolution_{TxnResolution::kOpen};
   std::atomic<AtomicObject*> waiting_at_{nullptr};
   std::vector<AtomicObject*> touched_;

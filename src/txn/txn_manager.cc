@@ -236,22 +236,36 @@ Status TxnManager::EvictObject(const ObjectId& id) {
   }
   StatusOr<AtomicObject::EvictTicket> ticket = obj->BeginEvict();
   if (!ticket.ok()) return ticket.status();
+  return CompleteEvict(obj, *ticket);
+}
+
+Status TxnManager::CompleteEvict(AtomicObject* obj,
+                                 const AtomicObject::EvictTicket& ticket) {
+  CCR_CHECK(store_ != nullptr);
   // Two-phase gap — no object mutex held across the I/O below. First make
   // the image's LSN durable: an image ahead of the recoverable journal
   // would restart into state the journal cannot justify.
-  if (pipeline_ != nullptr && ticket->lsn != kNoLsn) {
-    pipeline_->WaitDurable(ticket->lsn);
+  if (pipeline_ != nullptr && ticket.lsn != kNoLsn) {
+    pipeline_->WaitDurable(ticket.lsn);
   }
   {
     std::lock_guard<std::mutex> lock(store_mu_);
     // A drop that raced the ticket has already retired the object and
     // Deletes its key under this same mutex — skip the Put rather than
-    // resurrect the key.
-    if (directory_.Find(id) == nullptr) return Status::OK();
+    // resurrect the key. Likewise a stale ticket: another eviction may
+    // have completed in the gap (after a commit the ticket missed), and
+    // this older image would overwrite its newer one — a lost update the
+    // LSN check at fault-in cannot see when commits sequence at kNoLsn.
+    // Checked under the store mutex, so no eviction completes between the
+    // check and the Put.
+    if (directory_.Find(obj->id()) == nullptr ||
+        !obj->EvictTicketCurrent(ticket)) {
+      return Status::OK();
+    }
     StoreWriteBatch batch;
-    batch.Put(StoreObjectKey(id),
-              EncodeStoreObjectValue(ticket->lsn, obj->factory_name(),
-                                     ticket->encoded));
+    batch.Put(StoreObjectKey(obj->id()),
+              EncodeStoreObjectValue(ticket.lsn, obj->factory_name(),
+                                     ticket.encoded));
     // Buffered: the next checkpoint sync hardens it. Until then the
     // journal alone reconstructs the state — WaitDurable above guarantees
     // the journal reaches at least the image's LSN.
@@ -269,7 +283,7 @@ Status TxnManager::EvictObject(const ObjectId& id) {
     // abandoned. The Put stays behind as a stale-but-sound image — its
     // LSN covers everything any durable anchor requires, and the next
     // checkpoint or eviction refreshes it.
-    obj->FinishEvict(*ticket);
+    obj->FinishEvict(ticket);
   }
   return Status::OK();
 }
@@ -840,47 +854,42 @@ std::shared_ptr<Transaction> TxnManager::Begin() {
 StatusOr<Value> TxnManager::Execute(Transaction* txn, const Invocation& inv) {
   MaybeEvict();
   AtomicObject* obj = directory_.Find(inv.object());
-  if (obj == nullptr && store_ != nullptr) {
-    // Possibly a lazily deferred object whose image lives in the store.
-    StatusOr<AtomicObject*> faulted = FaultInFromStore(inv.object());
-    if (faulted.ok()) {
-      obj = *faulted;
-    } else if (faulted.status().code() != StatusCode::kNotFound) {
-      return faulted.status();
-    }
-  }
   if (obj == nullptr) {
-    return Status::NotFound(
-        StrFormat("no object named %s", inv.object().c_str()));
+    StatusOr<AtomicObject*> resolved = ResolveMiss(inv.object());
+    if (!resolved.ok()) return resolved.status();
+    obj = *resolved;
   }
   return obj->Execute(txn, inv);
 }
 
-StatusOr<AtomicObject*> TxnManager::FaultInFromStore(const ObjectId& id) {
-  if (store_ == nullptr || Dropping(id)) {
+StatusOr<AtomicObject*> TxnManager::ResolveMiss(const ObjectId& id) {
+  const auto missing = [&id] {
     return Status::NotFound(StrFormat("no object named %s", id.c_str()));
-  }
+  };
+  if (store_ == nullptr || Dropping(id)) return missing();
+  // Possibly a lazily deferred object whose image lives in the store.
   StatusOr<std::string> value = store_->Get(StoreObjectKey(id));
-  if (!value.ok()) return value.status();
+  if (!value.ok()) {
+    if (value.status().code() == StatusCode::kNotFound) return missing();
+    return value.status();
+  }
   StatusOr<CheckpointImage::ObjectEntry> img = DecodeStoreObjectValue(*value);
   if (!img.ok()) return img.status();
-  if (img->factory.empty()) {
-    // A registered object's image: registered objects never leave the
-    // directory, so the miss means the object is gone — a stray key must
-    // not resurrect it.
-    return Status::NotFound(StrFormat("no object named %s", id.c_str()));
+  // A registered object's image names no factory: registered objects never
+  // leave the directory, so the miss means the object is gone — a stray
+  // key must not resurrect it.
+  if (img->factory.empty()) return missing();
+  StatusOr<AtomicObject*> obj = GetOrCreate(id, img->factory);
+  if (!obj.ok() && obj.status().code() == StatusCode::kNotFound) {
+    return missing();
   }
-  return GetOrCreate(id, img->factory);
+  return obj;
 }
 
 StatusOr<std::vector<Value>> TxnManager::ExecuteBatch(
     Transaction* txn, std::span<const BatchOp> ops) {
   CCR_CHECK(txn != nullptr);
   MaybeEvict();
-  // Flag the transaction first: even a batch that errors out (and is then
-  // aborted/retried by the caller) commits batch-atomically if the caller
-  // commits whatever partial work succeeded.
-  txn->set_batch_atomic();
   if (ops.empty()) return std::vector<Value>{};
 
   // Group ops by object without building a keyed container: sort the op
@@ -912,7 +921,8 @@ StatusOr<std::vector<Value>> TxnManager::ExecuteBatch(
   const size_t groups = runs.size() - 1;
 
   // One directory pass: stripe-grouped shared-mode lookups for every key at
-  // once, then GetOrCreate only for the misses that name a factory.
+  // once, then GetOrCreate for the misses that name a factory and the
+  // store fault-in for the rest.
   std::vector<const ObjectId*> ids;
   ids.reserve(groups);
   for (size_t g = 0; g < groups; ++g) ids.push_back(&ops[order[runs[g]]].object);
@@ -926,23 +936,11 @@ StatusOr<std::vector<Value>> TxnManager::ExecuteBatch(
          ++pos) {
       if (!ops[order[pos]].factory.empty()) factory = &ops[order[pos]].factory;
     }
-    if (factory == nullptr) {
-      if (store_ != nullptr) {
-        StatusOr<AtomicObject*> faulted = FaultInFromStore(*ids[g]);
-        if (faulted.ok()) {
-          found[g] = *faulted;
-          continue;
-        }
-        if (faulted.status().code() != StatusCode::kNotFound) {
-          return faulted.status();
-        }
-      }
-      return Status::NotFound(
-          StrFormat("no object named %s", ids[g]->c_str()));
-    }
-    StatusOr<AtomicObject*> created = GetOrCreate(*ids[g], *factory);
-    if (!created.ok()) return created.status();
-    found[g] = *created;
+    StatusOr<AtomicObject*> resolved = factory == nullptr
+                                           ? ResolveMiss(*ids[g])
+                                           : GetOrCreate(*ids[g], *factory);
+    if (!resolved.ok()) return resolved.status();
+    found[g] = *resolved;
   }
 
   // Execute each object's op-group under one acquisition of its mutex, in
@@ -955,7 +953,8 @@ StatusOr<std::vector<Value>> TxnManager::ExecuteBatch(
     for (size_t pos = runs[g]; pos < runs[g + 1]; ++pos) {
       invs.push_back(&ops[order[pos]].inv);
     }
-    CCR_RETURN_IF_ERROR(found[g]->ExecuteGroup(txn, invs, &group_results));
+    group_results.resize(invs.size());
+    CCR_RETURN_IF_ERROR(found[g]->ExecuteGroup(txn, invs, group_results));
     for (size_t k = 0; k < invs.size(); ++k) {
       results[order[runs[g] + k]] = std::move(group_results[k]);
     }
@@ -997,7 +996,7 @@ StatusOr<Lsn> TxnManager::CommitAsync(Transaction* txn) {
     // victim must abort; committing would violate the victim choice another
     // waiter depends on. The CAS makes the active->committed transition
     // atomic w.r.t. Kill — a kill can no longer land between a flag check
-    // and the per-object commit loop.
+    // and the commit below.
     const Status s = Abort(txn);
     // A failed abort here would leak the victim's operation locks forever —
     // every waiter parked on them would starve. It can only fail if the
@@ -1008,20 +1007,69 @@ StatusOr<Lsn> TxnManager::CommitAsync(Transaction* txn) {
     return Status::Deadlock(StrFormat(
         "%s was killed before commit", TxnName(txn->id()).c_str()));
   }
-  // Atomic commitment: commit at every touched object (single-process, so
-  // no prepare phase is needed — there is no partial failure mode). Each
-  // object's lock is released as its Commit returns; under a group-commit
-  // pipeline the records are only sequenced here and the disk sync is
-  // still pending when the last lock is dropped. No global manager lock
-  // anywhere on this path: the live-table stripe below is keyed by txn id
-  // and the outcome counter is a lone atomic.
-  Lsn high_lsn = kNoLsn;
-  if (txn->batch_atomic() && txn->touched().size() > 1) {
-    high_lsn = CommitBatchAtomic(txn);
-  } else {
-    for (AtomicObject* obj : txn->touched()) {
-      high_lsn = std::max(high_lsn, obj->Commit(txn->id()));
+  // Atomic commitment: ONE commit record covers every touched object
+  // (single-process, so no prepare phase is needed — there is no partial
+  // failure mode). Canonical order: every commit locks its objects
+  // in ascending ObjectId, a total order — concurrent commits can never
+  // hold-and-wait in a cycle. Every other path (Execute, the checkpoint
+  // walk, MarkDropped) holds one object mutex at a time, so the lock
+  // hierarchy stays acyclic: objects (canonical order) -> journal ->
+  // pipeline. No global manager lock anywhere on this path:
+  // the live-table stripe below is keyed by txn id and the outcome counter
+  // is a lone atomic.
+  std::vector<AtomicObject*>& objs = txn->touched_;
+  std::sort(objs.begin(), objs.end(),
+            [](const AtomicObject* a, const AtomicObject* b) {
+              return a->id() < b->id();
+            });
+
+  // Hold every object's mutex from redo collection through the journal
+  // append. Two invariants depend on this span: (a) early lock release —
+  // the record's LSN is assigned before any of the transaction's operation
+  // locks become visible as released to a *committing* successor, so
+  // every commit that read from this one sequences a higher LSN and an
+  // acknowledged commit never depends on a lost one; (b) fuzzy-checkpoint
+  // exactness — SnapshotForCheckpoint takes the same mutex, so no
+  // checkpoint can pair the new state with a pre-commit LSN.
+  struct Held {
+    std::unique_lock<std::mutex> lock;
+    bool wrote = false;  // contributed ops to the commit record
+  };
+  std::vector<Held> held;
+  held.reserve(objs.size());
+  for (AtomicObject* obj : objs) held.push_back(Held{obj->LockForCommit()});
+
+  // ONE record for the whole transaction: the engine wires every object to
+  // the same journal (or none), and objects without a journal contribute
+  // no ops — so a non-empty redo always has exactly one journal to go to.
+  Journal* journal = nullptr;
+  OpSeq redo;
+  for (size_t i = 0; i < objs.size(); ++i) {
+    Journal* const own = objs[i]->recovery().journal();
+    if (own != nullptr) {
+      CCR_CHECK_MSG(journal == nullptr || journal == own,
+                    "%s touched objects on two journals",
+                    TxnName(txn->id()).c_str());
+      journal = own;
     }
+    const size_t before = redo.size();
+    objs[i]->CollectCommitLocked(txn->id(), &redo);
+    held[i].wrote = redo.size() > before;
+  }
+  const Lsn lsn =
+      redo.empty() ? kNoLsn : journal->AppendCommit(txn->id(), std::move(redo));
+
+  // The deferred per-object state transitions (UIP's checkpoint fold, DU's
+  // intention application) run after the record is sequenced: the
+  // group-commit flusher is already syncing it while this CPU work
+  // proceeds, instead of the sync queueing behind it. Each object's mutex
+  // drops as soon as its own finalize completes — the record's LSN is
+  // already assigned, so invariant (a) holds, and the object's state is
+  // commit-complete, so a checkpoint snapshot taken the instant the lock
+  // releases pairs the new state with the new LSN.
+  for (size_t i = 0; i < objs.size(); ++i) {
+    objs[i]->FinalizeCommitLocked(txn->id(), held[i].wrote ? lsn : kNoLsn);
+    held[i].lock.unlock();
   }
   txn->set_state(TxnState::kCommitted);
   detector_.Forget(txn->id());
@@ -1031,81 +1079,7 @@ StatusOr<Lsn> TxnManager::CommitAsync(Transaction* txn) {
     stripe.txns.erase(txn->id());
   }
   committed_.fetch_add(1, std::memory_order_relaxed);
-  return high_lsn;
-}
-
-Lsn TxnManager::CommitBatchAtomic(Transaction* txn) {
-  // Canonical order: the same ascending-ObjectId walk ExecuteBatch uses to
-  // acquire the objects, and a total order — concurrent batch commits can
-  // never hold-and-wait in a cycle. Every other multi-lock holder (the
-  // checkpoint walk, MarkDropped, plain Commit) takes one object mutex at a
-  // time, so adding this ordered multi-acquisition keeps the lock hierarchy
-  // acyclic: objects (canonical order) -> journal -> pipeline.
-  std::vector<AtomicObject*> objs = txn->touched();
-  std::sort(objs.begin(), objs.end(),
-            [](const AtomicObject* a, const AtomicObject* b) {
-              return a->id() < b->id();
-            });
-  Journal* journal = objs.front()->recovery().journal();
-  for (AtomicObject* obj : objs) {
-    if (obj->recovery().journal() != journal) {
-      // Mixed journals: no single append can cover the batch. Degrade to
-      // per-object records; the caller still waits only once, on the
-      // highest LSN.
-      Lsn high = kNoLsn;
-      for (AtomicObject* o : txn->touched()) {
-        high = std::max(high, o->Commit(txn->id()));
-      }
-      return high;
-    }
-  }
-
-  // Hold every object's commit mutex from redo collection through the
-  // single journal append and LSN install. Two invariants depend on this
-  // span: (a) early lock release — the record's LSN is assigned before any
-  // of the batch's operation locks become visible as released to a
-  // *committing* successor, so every commit that read from this batch
-  // sequences a higher LSN and an acknowledged batch never depends on a
-  // lost one; (b) fuzzy-checkpoint exactness — SnapshotForCheckpoint takes
-  // the same mutex, so no checkpoint can pair the batch's new state with a
-  // pre-batch LSN.
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(objs.size());
-  for (AtomicObject* obj : objs) locks.push_back(obj->LockForBatchCommit());
-
-  OpSeq redo;
-  std::vector<size_t> contributed(objs.size(), 0);
-  Lsn high_lsn = kNoLsn;
-  for (size_t i = 0; i < objs.size(); ++i) {
-    const size_t before = redo.size();
-    // A recovery manager without batch support journals its own per-object
-    // record (base-class fallback) and reports that LSN here.
-    high_lsn =
-        std::max(high_lsn, objs[i]->CommitBatchedLocked(txn->id(), &redo));
-    contributed[i] = redo.size() - before;
-  }
-  if (journal != nullptr && !redo.empty()) {
-    const Lsn lsn = journal->AppendCommit(txn->id(), std::move(redo));
-    if (lsn != kNoLsn) {
-      for (size_t i = 0; i < objs.size(); ++i) {
-        if (contributed[i] > 0) objs[i]->InstallBatchLsnLocked(lsn);
-      }
-      high_lsn = std::max(high_lsn, lsn);
-    }
-  }
-  // Deferred per-object commit state transitions (UIP's checkpoint fold,
-  // DU's intention application) run after the record is sequenced: the
-  // group-commit flusher is already syncing the batch while this CPU work
-  // proceeds, instead of the sync queueing behind it. Each object's mutex
-  // drops as soon as its own finalize completes — the record's LSN is
-  // already assigned, so invariant (a) holds, and the object's state is
-  // commit-complete, so a checkpoint snapshot taken the instant the lock
-  // releases pairs the new state with the new LSN.
-  for (size_t i = 0; i < objs.size(); ++i) {
-    objs[i]->FinalizeBatchCommitLocked(txn->id());
-    locks[i].unlock();
-  }
-  return high_lsn;
+  return lsn;
 }
 
 Status TxnManager::Abort(Transaction* txn) {

@@ -1,8 +1,9 @@
 // Copyright 2026 The ccr Authors.
 //
 // TxnManager: transaction lifecycle, atomic commitment across objects (the
-// paper's "commit at one or more objects, never commit-and-abort"), deadlock
-// victim handling, and the retry loop client code uses.
+// paper's "commit at one or more objects, never commit-and-abort": every
+// transaction, however it executed, commits under ONE journal record),
+// deadlock victim handling, and the retry loop client code uses.
 //
 // Contract: a transaction is driven by one thread. After Execute returns a
 // retryable error (kConflict / kDeadlock / kTimedOut), the transaction MUST
@@ -196,9 +197,15 @@ class TxnManager {
   // directory; first touch faults the state back in. kIllegalState without
   // a store or while the object is busy (locks held / waiters queued);
   // kNotSupported when its ADT lacks a state codec. An eviction abandoned
-  // by a raced commit or drop returns OK without evicting — the written
-  // image is stale but sound (image LSNs are monotone).
+  // by a raced commit, drop or eviction returns OK without evicting.
   Status EvictObject(const ObjectId& id);
+
+  // EvictObject's second phase for a ticket `obj->BeginEvict()` issued:
+  // the durable wait, then the image Put and evicted flip under the store
+  // mutex — skipped when the ticket is stale there (a commit, drop or
+  // completed eviction since BeginEvict). Requires a store.
+  Status CompleteEvict(AtomicObject* obj,
+                       const AtomicObject::EvictTicket& ticket);
 
   // Watermark sweep (no-op unless a store is attached and
   // evict_high_watermark > 0): when the resident estimate exceeds the high
@@ -277,21 +284,23 @@ class TxnManager {
   }
   GroupCommitPipeline* commit_pipeline() const { return pipeline_; }
 
-  // Transaction lifecycle. Commit acknowledges durability: when a
-  // group-commit pipeline is attached, it releases every touched object's
-  // locks first (early lock release) and only then blocks until the
-  // transaction's highest LSN is durable.
+  // Transaction lifecycle. Commit journals the transaction's ops at every
+  // touched object as one commit record — replayed all-or-nothing by every
+  // restart source — and acknowledges durability: when a group-commit
+  // pipeline is attached, it releases every touched object's locks first
+  // (early lock release) and only then blocks until the record's LSN is
+  // durable. A transaction's objects must share one journal (or have none).
   std::shared_ptr<Transaction> Begin();
   StatusOr<Value> Execute(Transaction* txn, const Invocation& inv);
   Status Commit(Transaction* txn);
   Status Abort(Transaction* txn);
 
   // Non-blocking commit for async front ends: runs the whole commit
-  // protocol (latch arbitration, per-object or batch-atomic commit,
-  // bookkeeping) but does NOT wait for durability. Returns the
-  // transaction's highest sequenced LSN; the caller owns the
-  // acknowledgment — typically GroupCommitPipeline::OnDurable(lsn, ...) —
-  // and must not report the commit to anyone before that point fires.
+  // protocol (latch arbitration, the one-record commit, bookkeeping) but
+  // does NOT wait for durability. Returns the transaction's highest
+  // sequenced LSN; the caller owns the acknowledgment — typically
+  // GroupCommitPipeline::OnDurable(lsn, ...) — and must not report the
+  // commit to anyone before that point fires.
   // kNoLsn means nothing was journaled (volatile objects): ack immediately.
   // On error (e.g. kDeadlock when a kill won the arbitration) the
   // transaction is already aborted, exactly like Commit.
@@ -307,12 +316,9 @@ class TxnManager {
   // within one object the caller's op order is preserved, and cross-object
   // reordering is effect-equal because object states are independent.
   // Results land in the ops' original positions. Errors follow Execute's
-  // contract (the caller must abort `txn` on retryable failures).
-  //
-  // Commit of a batch transaction journals ONE multi-object commit record
-  // covering every touched object — one LSN, one frame append, one
-  // group-commit watermark wait — replayed all-or-nothing by every
-  // restart source.
+  // contract (the caller must abort `txn` on retryable failures). Commit
+  // is the same one-record commit as for Execute-built transactions; a
+  // batch saves directory passes and mutex acquisitions, not records.
   StatusOr<std::vector<Value>> ExecuteBatch(Transaction* txn,
                                             std::span<const BatchOp> ops);
 
@@ -479,11 +485,12 @@ class TxnManager {
   // Whether `id` is mid-DropObject (its store key is doomed).
   bool Dropping(const ObjectId& id) const;
 
-  // Directory-miss fallback for Execute/ExecuteBatch: materializes a
-  // lazily deferred object from its store image (through the image's own
-  // factory, journaling no create record). kNotFound when the store has no
-  // image or the image names no factory.
-  StatusOr<AtomicObject*> FaultInFromStore(const ObjectId& id);
+  // Directory-miss path for Execute/ExecuteBatch: materializes a lazily
+  // deferred object from the attached store's image (through the image's
+  // own factory, journaling no create record). kNotFound "no object named
+  // <id>" without a store, or when the store has no image or the image
+  // names no factory.
+  StatusOr<AtomicObject*> ResolveMiss(const ObjectId& id);
 
   // Installs a checkpoint image's object entries into a restart (creating
   // dyn entries through the factory registry), recording each entry's LSN
@@ -494,12 +501,6 @@ class TxnManager {
   // `*deferred`.
   Status InstallImageObjects(ReplayContext& ctx, const CheckpointImage& image,
                              size_t* installed, size_t* deferred);
-
-  // Commits a batch-atomic transaction under one multi-object commit
-  // record; returns the highest LSN the transaction must wait on. Falls
-  // back to per-object records when the touched objects' recovery managers
-  // feed different journals.
-  Lsn CommitBatchAtomic(Transaction* txn);
 
   TxnManagerOptions options_;
   HistoryRecorder recorder_;

@@ -3,7 +3,6 @@
 #include "txn/uip_recovery.h"
 
 #include "common/macros.h"
-#include "txn/journal.h"
 
 namespace ccr {
 
@@ -38,33 +37,12 @@ void UipRecovery::Apply(TxnId txn, const Operation& op,
   if (journal_ != nullptr) pending_ops_[txn].push_back(op);
 }
 
-Lsn UipRecovery::Commit(TxnId txn) {
-  ++stats_.commits;
-  Lsn lsn = kNoLsn;
-  if (journal_ != nullptr) {
-    // The transaction's operations, in response order, are its redo record.
-    // A read-free transaction has no record: an empty commit record redoes
-    // nothing and only bloats the journal and slows replay.
-    auto it = pending_ops_.find(txn);
-    if (it != pending_ops_.end()) {
-      if (!it->second.empty()) {
-        lsn = journal_->AppendCommit(txn, std::move(it->second));
-      }
-      pending_ops_.erase(it);
-    }
-  }
-  // A transaction with no log entries has nothing to fold; remembering it
-  // would leak (nothing ever erases it again).
-  if (live_counts_.count(txn) > 0) committed_in_log_.insert(txn);
-  Checkpoint();
-  return lsn;
-}
-
-Lsn UipRecovery::CommitForBatch(TxnId txn, OpSeq* redo) {
-  // Collect phase: hand the redo record to the caller and mark the
-  // transaction committed, but leave the log fold to FinalizeBatchCommit —
-  // the caller sequences the batch's record in between, so the group
-  // commit's sync runs concurrently with the fold.
+void UipRecovery::CollectCommit(TxnId txn, OpSeq* redo) {
+  // Hand the transaction's operations, in response order, to the caller's
+  // commit record and mark the transaction committed; the log fold waits
+  // for FinalizeCommit so the record's group-commit sync runs concurrently
+  // with it. A read-free transaction contributes nothing: an empty record
+  // redoes nothing and only bloats the journal and slows replay.
   ++stats_.commits;
   if (journal_ != nullptr) {
     auto it = pending_ops_.find(txn);
@@ -74,11 +52,12 @@ Lsn UipRecovery::CommitForBatch(TxnId txn, OpSeq* redo) {
       pending_ops_.erase(it);
     }
   }
+  // A transaction with no log entries has nothing to fold; remembering it
+  // would leak (nothing ever erases it again).
   if (live_counts_.count(txn) > 0) committed_in_log_.insert(txn);
-  return kNoLsn;
 }
 
-void UipRecovery::FinalizeBatchCommit(TxnId txn) {
+void UipRecovery::FinalizeCommit(TxnId txn) {
   (void)txn;
   Checkpoint();
 }

@@ -49,10 +49,9 @@ class UipRecovery final : public RecoveryManager {
   std::vector<Outcome> Candidates(TxnId txn, const Invocation& inv) override;
   void Apply(TxnId txn, const Operation& op,
              std::unique_ptr<SpecState> next) override;
-  Lsn Commit(TxnId txn) override;
+  void CollectCommit(TxnId txn, OpSeq* redo) override;
+  void FinalizeCommit(TxnId txn) override;
   void Abort(TxnId txn) override;
-  Lsn CommitForBatch(TxnId txn, OpSeq* redo) override;
-  void FinalizeBatchCommit(TxnId txn) override;
   std::unique_ptr<SpecState> CurrentState() const override;
   std::unique_ptr<SpecState> CommittedState() const override;
   void InstallCommittedState(std::unique_ptr<SpecState> state) override;
@@ -81,10 +80,10 @@ class UipRecovery final : public RecoveryManager {
   std::deque<LogEntry> log_;            // response order
   std::set<TxnId> committed_in_log_;    // committed but not yet folded
 
-  // Per-transaction accounting so Commit and Checkpoint are O(ops of the
+  // Per-transaction accounting so commit and Checkpoint are O(ops of the
   // transaction) instead of O(log): remaining log entries per transaction,
-  // and (only when a journal is attached) the accumulated redo record of
-  // each still-active transaction.
+  // and (only when a journal is attached) the accumulated redo ops of each
+  // still-active transaction.
   std::map<TxnId, size_t> live_counts_;
   std::map<TxnId, OpSeq> pending_ops_;
 };

@@ -358,6 +358,8 @@ TEST_P(CrashRecoveryTest, RandomizedCrashRestartProperty) {
           << result.state_matches_prefix << ", "
           << result.report.ToString();
       EXPECT_LE(result.report.records_replayed, result.records_total);
+      // The atomicity audit covers Execute-built transactions too.
+      EXPECT_GT(result.batch_records_total, 0u);
       if (fraction == 1.0) {
         EXPECT_EQ(result.report.records_replayed, result.records_total);
         EXPECT_FALSE(result.report.corrupt_tail);

@@ -517,6 +517,28 @@ TEST(EvictionTest, FinishEvictDetectsRacedCommitWithoutDurableLsns) {
   EXPECT_TRUE(obj->evicted());
 }
 
+// Regression: an eviction whose ticket went stale in the gap must not
+// write its image at all. Here a first eviction takes its ticket; in its
+// gap a commit lands and a second eviction stores the newer image and
+// completes. Writing the first eviction's older image over it would lose
+// the commit — invisibly, since every LSN is kNoLsn.
+TEST(EvictionTest, StaleEvictionDoesNotOverwriteNewerImage) {
+  StoreWorld world;  // volatile Journal: AppendCommit returns kNoLsn
+  ASSERT_TRUE(world.Inc("D1", 6).ok());
+  AtomicObject* obj = world.manager.object("D1");
+  ASSERT_NE(obj, nullptr);
+
+  StatusOr<AtomicObject::EvictTicket> stale = obj->BeginEvict();  // image 6
+  ASSERT_TRUE(stale.ok()) << stale.status().ToString();
+  ASSERT_TRUE(world.Inc("D1", 1).ok());
+  ASSERT_TRUE(world.manager.EvictObject("D1").ok());  // image 7
+  ASSERT_TRUE(obj->evicted());
+  // The first eviction's late second phase: OK, and no image written.
+  EXPECT_TRUE(world.manager.CompleteEvict(obj, *stale).ok());
+  EXPECT_TRUE(obj->evicted());
+  EXPECT_EQ(*world.Read("D1"), 7) << "a stale eviction image lost a commit";
+}
+
 TEST(EvictionTest, LazyGetOrCreateReturnsEvictedShellWithoutCreateRecord) {
   StoreWorld world;
   ASSERT_TRUE(world.Inc("D1", 3).ok());

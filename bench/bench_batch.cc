@@ -234,25 +234,24 @@ int RunSmoke() {
       CrashScenarioOptions options;
       options.driver.threads = 2;
       options.driver.txns_per_thread = 20;
-      options.crash_fraction = fraction;
+      options.fault = CrashFault::AtFraction(fraction);
       options.group_commit = GroupCommitOptions{DurabilityMode::kGroup};
       const CrashScenarioResult result =
           RunCrashScenario(factory, body, options);
-      if (!result.ok() || result.batch_records_total == 0) {
+      if (!result.ok() || result.multi_object_txns == 0) {
         std::fprintf(stderr,
                      "FAIL: %s crash audit at fraction %.1f: ok=%d "
                      "partial=%zu total=%zu (%s)\n",
                      arm, fraction, result.ok() ? 1 : 0,
-                     result.batch_records_partial,
-                     result.batch_records_total,
+                     result.multi_object_partial, result.multi_object_txns,
                      result.status.ToString().c_str());
         return 1;
       }
       std::printf(
           "%s crash audit f=%.1f: %zu multi-object txns, %zu whole, "
           "0 partial — OK\n",
-          arm, fraction, result.batch_records_total,
-          result.batch_records_recovered);
+          arm, fraction, result.multi_object_txns,
+          result.multi_object_whole);
     }
   }
   std::printf("batch smoke OK\n");

@@ -30,8 +30,9 @@
 // `--smoke` runs the functional pass CI uses under sanitizers: op
 // conservation at the journal (every journaled op belongs to exactly one
 // OK-acked submission), exact shed accounting at the admission bound, and
-// the serving crash scenario (RunServeCrashScenario) asserting zero
-// acked-but-lost submissions with the crash cut landing mid-serving.
+// the serving crash scenario (RunCrashScenario with a serving burst)
+// asserting zero acked-but-lost submissions with the machine dying
+// mid-serving.
 
 #include <algorithm>
 #include <atomic>
@@ -624,27 +625,45 @@ int RunSmoke() {
     return ops;
   };
   for (const double fraction : {0.3, 0.7, 1.0}) {
-    ServeCrashOptions options;
+    CrashScenarioOptions options;
     options.requests = 300;
-    options.crash_fraction = fraction;
+    options.driver.threads = 2;  // submitters
+    options.fault = CrashFault::AtFraction(fraction);
     options.frontend.queue_depth = 64;
     options.frontend.max_group = 8;  // several coalesced records per run
-    const ServeCrashResult result =
-        RunServeCrashScenario(factory, make_request, options);
-    if (!result.ok()) {
+    // Small sync batches: acks arrive all through the burst, so a cut
+    // lands among acknowledged submissions.
+    options.group_commit.max_batch = 2;
+    const CrashScenarioResult result =
+        RunCrashScenario(factory, make_request, options);
+    // A mid-run cut lands among acknowledged work, with accepted
+    // submissions still in flight.
+    const bool cut_mid_flight =
+        fraction >= 1.0 ||
+        (result.fault_fired && result.serve.completed_error > 0 &&
+         result.acked > 0 && result.acked_ops > 0);
+    if (!result.ok() || !cut_mid_flight) {
       std::fprintf(stderr,
-                   "FAIL: serve crash audit f=%.1f: crash.ok=%d "
-                   "conserved=%d inflight=%zu (%s)\n",
-                   fraction, result.crash.ok() ? 1 : 0,
-                   result.ops_conserved ? 1 : 0, result.inflight_at_crash,
-                   result.crash.status.ToString().c_str());
+                   "FAIL: serve crash audit f=%.1f: ok=%d ops acked=%llu "
+                   "recovered=%llu journaled=%llu failed-in-flight=%llu "
+                   "(%s)\n",
+                   fraction, result.ok() ? 1 : 0,
+                   static_cast<unsigned long long>(result.acked_ops),
+                   static_cast<unsigned long long>(result.recovered_ops),
+                   static_cast<unsigned long long>(result.journal_ops),
+                   static_cast<unsigned long long>(
+                       result.serve.completed_error),
+                   result.status.ToString().c_str());
       return 1;
     }
     std::printf(
-        "serve crash f=%.1f: %llu acked, %zu acked-records recovered, "
-        "%zu in flight at cut, ops conserved — OK\n",
-        fraction, static_cast<unsigned long long>(result.completed_ok),
-        result.crash.acked_records, result.inflight_at_crash);
+        "serve crash f=%.1f: %llu acked, ops acked %llu <= recovered %llu "
+        "<= journaled %llu, %llu failed in flight — OK\n",
+        fraction, static_cast<unsigned long long>(result.serve.completed_ok),
+        static_cast<unsigned long long>(result.acked_ops),
+        static_cast<unsigned long long>(result.recovered_ops),
+        static_cast<unsigned long long>(result.journal_ops),
+        static_cast<unsigned long long>(result.serve.completed_error));
   }
   std::printf("serve smoke OK\n");
   return 0;

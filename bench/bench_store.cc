@@ -21,10 +21,11 @@
 //     Restart-from-store and restart-from-file replay the same tail; the
 //     lazy arm's cost is O(tail), not O(population).
 //
-//  3. crash sweep — every store.* crash point x UIP/DU through
-//     RunStoreCrashScenario (journal + store + fuzzy checkpoints +
-//     evictions all running when the machine dies). Zero acked-but-lost
-//     records and fail-atomic restarts, everywhere.
+//  3. crash sweep — every store.* crash point x UIP/DU through the live
+//     crash driver, RunCrashScenario (journal + store + fuzzy checkpoints
+//     + evictions + compactions all running while the workers commit when
+//     the machine dies). Zero acked-but-lost commits and fail-atomic
+//     restarts, everywhere.
 //
 //  --smoke runs scaled-down versions of all three with the same
 //  correctness checks (the mode scripts/check.sh and the sanitizer CI
@@ -393,7 +394,7 @@ void BenchStoreCrashSweep(bool smoke) {
       smoke ? std::vector<uint64_t>{13} : std::vector<uint64_t>{13, 29, 47};
 
   TablePrinter table({"crash point", "method", "runs", "fired",
-                      "acked (min..max)", "lost", "restarts ok"});
+                      "acked (min..max)", "acked lost", "restarts ok"});
   size_t lost_total = 0;
   for (const std::string& point : points) {
     for (int method = 0; method < 2; ++method) {
@@ -407,37 +408,36 @@ void BenchStoreCrashSweep(bool smoke) {
       size_t min_acked = SIZE_MAX;
       size_t max_acked = 0;
       for (const uint64_t seed : seeds) {
-        StoreCrashOptions options;
+        CrashScenarioOptions options;
         options.driver.threads = 2;
         options.driver.txns_per_thread = smoke ? 30 : 40;
         options.driver.seed = seed;
         options.max_segment_bytes = 256;
+        options.store = true;
         options.store_segment_bytes = 256;
-        options.checkpoint_every = 12;
-        options.evict_every = 3;
-        options.crash_point = point;
+        options.maintenance_every = 6;
+        options.fault = CrashFault::AtPoint(point);
         options.replay_threads = 2;
-        const StoreCrashResult result =
-            RunStoreCrashScenario(StoreSweepFactory(config), StoreSweepBody,
-                                  options);
+        const CrashScenarioResult result = RunCrashScenario(
+            StoreSweepFactory(config), StoreSweepBody, options);
         ++runs;
-        if (result.crash_fired) ++fired;
-        if (result.acked_records > result.records_appended) ++lost;
+        if (result.fault_fired) ++fired;
+        lost += result.acked_lost;
         if (result.ok()) ++restarts_ok;
-        min_acked = std::min(min_acked, result.acked_records);
-        max_acked = std::max(max_acked, result.acked_records);
+        min_acked = std::min(min_acked, result.acked);
+        max_acked = std::max(max_acked, result.acked);
         if (point.empty()) {
           // The clean run must actually exercise the machinery the
           // armed runs crash.
           CCR_CHECK_MSG(result.evictions > 0, "clean run evicted nothing");
-          CCR_CHECK_MSG(result.checkpoints_written > 0,
+          CCR_CHECK_MSG(result.checkpoints > 0,
                         "clean run wrote no checkpoint");
-          CCR_CHECK_MSG(result.store_compactions > 0,
+          CCR_CHECK_MSG(result.compactions > 0,
                         "clean run compacted nothing");
           CCR_CHECK_MSG(result.summary.from_store,
                         "clean restart ignored the store");
         } else {
-          CCR_CHECK_MSG(result.crash_fired, "point %s never fired",
+          CCR_CHECK_MSG(result.fault_fired, "point %s never fired",
                         point.c_str());
         }
       }

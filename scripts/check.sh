@@ -37,11 +37,11 @@ cmake --build --preset default -j "${JOBS}" --target bench_batch
 echo "==> eviction stress: cache-pressure create/drop/evict race (bench_directory --evict)"
 ./build/bench/bench_directory --evict
 
-echo "==> store smoke: eviction sweep + restart arms + store crash sweep (bench_store)"
+echo "==> store smoke: eviction sweep + restart arms + live crash driver at every store crash point (bench_store)"
 cmake --build --preset default -j "${JOBS}" --target bench_store
 ./build/bench/bench_store --smoke
 
-echo "==> serve smoke: conservation + shed accounting + serving crash audit (bench_serve)"
+echo "==> serve smoke: conservation + shed accounting + live crash driver under a serving burst (bench_serve)"
 cmake --build --preset default -j "${JOBS}" --target bench_serve
 ./build/bench/bench_serve --smoke
 

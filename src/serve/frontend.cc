@@ -29,12 +29,18 @@ ServeFrontend::~ServeFrontend() { Stop(); }
 Status ServeFrontend::SubmitAsync(std::vector<BatchOp> ops,
                                   ServeCompletion done) {
   CCR_CHECK(done != nullptr);
+  const GroupCommitPipeline* pipeline = manager_->commit_pipeline();
+  const Status health = pipeline == nullptr ? Status::OK() : pipeline->status();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stop_ || halt_) {
+    if (stop_) {
       return Status::Unavailable("serve front end is stopped");
     }
     ++stats_.submitted;
+    if (!health.ok()) {
+      ++stats_.shed;
+      return health;
+    }
     if (queue_.size() >= options_.queue_depth) {
       // The admission verdict is the synchronous return value: a shed
       // submission touched no engine state and its completion never fires.
@@ -98,26 +104,6 @@ void ServeFrontend::Stop() {
   }
 }
 
-void ServeFrontend::Halt() {
-  std::deque<Submission> dropped;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    halt_ = true;
-    stop_ = true;
-    dropped.swap(queue_);
-  }
-  work_cv_.notify_all();
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-  // The machine "died" with these still queued: they were never executed
-  // and never acked. kUnavailable keeps the accounting exact
-  // (accepted == completed_ok + completed_error) for the harness.
-  for (Submission& sub : dropped) {
-    Complete(sub, Status::Unavailable("crashed with submission queued"), {});
-  }
-}
-
 ServeStats ServeFrontend::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
@@ -149,8 +135,7 @@ size_t ServeFrontend::PumpOnce() {
 void ServeFrontend::WorkerLoop() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    work_cv_.wait(lock, [&] { return stop_ || halt_ || !queue_.empty(); });
-    if (halt_) return;  // Halt disposes of the queue itself
+    work_cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
     if (queue_.empty()) {
       if (stop_) return;
       continue;
@@ -164,9 +149,8 @@ void ServeFrontend::WorkerLoop() {
       work_cv_.wait_for(lock, std::chrono::microseconds(options_.linger_us),
                         [&] {
                           return queue_.size() >= options_.max_group ||
-                                 stop_ || halt_;
+                                 stop_;
                         });
-      if (halt_) return;
       if (queue_.empty()) continue;
     }
     std::vector<Submission> group;
@@ -215,24 +199,28 @@ void ServeFrontend::ServeGroup(std::vector<Submission> group) {
       // One ack registration for the whole group: every member completes
       // off the same watermark advance, sliced back to its own results.
       auto fire = [this, group = std::move(group),
-                   values = std::move(*results)]() mutable {
+                   values = std::move(*results)](const Status& s) mutable {
         size_t pos = 0;
         for (Submission& sub : group) {
-          std::vector<Value> slice(values.begin() + pos,
-                                   values.begin() + pos + sub.ops.size());
+          std::vector<Value> slice;
+          if (s.ok()) {
+            slice.assign(values.begin() + pos,
+                         values.begin() + pos + sub.ops.size());
+          }
           pos += sub.ops.size();
-          Complete(sub, Status::OK(), std::move(slice));
+          Complete(sub, s, std::move(slice));
         }
       };
       GroupCommitPipeline* pipeline = manager_->commit_pipeline();
       if (pipeline != nullptr && *lsn != kNoLsn) {
         pipeline->OnDurable(*lsn, std::move(fire));
       } else {
-        fire();
+        fire(Status::OK());
       }
       return;
     }
-    // Commit lost a kill race; the transaction is already aborted.
+    // Commit lost a kill race, or the engine fail-stopped (each member
+    // then meets the failure alone); the transaction is already aborted.
   } else {
     // Any failure demotes the group: errors (and retries) must attribute
     // to exactly the submission that caused them, and an innocent
@@ -280,14 +268,14 @@ void ServeFrontend::ServeSolo(Submission sub) {
       ++stats_.solo_txns;
     }
     auto fire = [this, sub = std::move(sub),
-                 values = std::move(*results)]() mutable {
-      Complete(sub, Status::OK(), std::move(values));
+                 values = std::move(*results)](const Status& s) mutable {
+      Complete(sub, s, s.ok() ? std::move(values) : std::vector<Value>{});
     };
     GroupCommitPipeline* pipeline = manager_->commit_pipeline();
     if (pipeline != nullptr && *lsn != kNoLsn) {
       pipeline->OnDurable(*lsn, std::move(fire));
     } else {
-      fire();
+      fire(Status::OK());
     }
     return;
   }

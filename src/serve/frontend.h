@@ -48,6 +48,10 @@
 //     was begun, no lock taken, no journal record written — and its
 //     completion never fires (the synchronous return value is the
 //     admission verdict).
+//   * FAIL-STOP. Once the manager's pipeline has fail-stopped (a journal
+//     append or sync failed), queued and in-flight submissions complete
+//     with its kUnavailable failure — never with OK — and new ones are
+//     shed with it. Restart from disk is the recovery path.
 
 #ifndef CCR_SERVE_FRONTEND_H_
 #define CCR_SERVE_FRONTEND_H_
@@ -129,7 +133,8 @@ class ServeFrontend {
   // `done` will be invoked exactly once, from a batcher or flusher thread,
   // once the outcome is decided (ack = durable watermark).
   // kResourceExhausted: shed at the door — nothing was executed and `done`
-  // will never be invoked. kUnavailable: the front end is stopped.
+  // will never be invoked. kUnavailable: the front end is stopped, or the
+  // pipeline has fail-stopped (counted as shed).
   Status SubmitAsync(std::vector<BatchOp> ops, ServeCompletion done);
 
   // Future-returning convenience over SubmitAsync. An admission failure
@@ -144,12 +149,6 @@ class ServeFrontend {
   // Drains, then stops the workers. Further submissions shed with
   // kUnavailable. Idempotent; the destructor calls it.
   void Stop();
-
-  // Crash simulation: discard every queued submission (their completions
-  // fire with kUnavailable — in a real crash they would simply never have
-  // been acked) and stop the workers without serving what was queued.
-  // Only crash tests call this.
-  void Halt();
 
   ServeStats stats() const;
   TxnManager* manager() const { return manager_; }
@@ -184,7 +183,6 @@ class ServeFrontend {
   std::deque<Submission> queue_;
   size_t in_flight_ = 0;  // accepted, not yet completed
   bool stop_ = false;
-  bool halt_ = false;
   ServeStats stats_;
 
   std::vector<std::thread> workers_;

@@ -260,9 +260,15 @@ std::unique_lock<std::mutex> AtomicObject::LockForCommit() {
 
 void AtomicObject::CollectCommitLocked(TxnId txn, OpSeq* redo) {
   // The caller appends the record and hands its LSN to
-  // FinalizeCommitLocked; the detector Forget is the manager's (it issues
-  // one for the whole transaction after the objects unlock).
+  // FinalizeCommitLocked — or, when the record is refused, undoes the
+  // transaction with AbortLocked; the detector Forget is the manager's (it
+  // issues one for the whole transaction after the objects unlock).
   recovery_->CollectCommit(txn, redo);
+}
+
+void AtomicObject::FinalizeCommitLocked(TxnId txn, Lsn lsn) {
+  recovery_->FinalizeCommit(txn);
+  if (lsn > last_lsn_) last_lsn_ = lsn;
   ++commit_tick_;
   held_.erase(txn);
   // Recorded under mu_ so the object-local event order matches effect
@@ -272,13 +278,12 @@ void AtomicObject::CollectCommitLocked(TxnId txn, OpSeq* redo) {
   WakeOnFinishLocked(txn);
 }
 
-void AtomicObject::FinalizeCommitLocked(TxnId txn, Lsn lsn) {
-  recovery_->FinalizeCommit(txn);
-  if (lsn > last_lsn_) last_lsn_ = lsn;
-}
-
 void AtomicObject::Abort(TxnId txn) {
   std::lock_guard<std::mutex> lock(mu_);
+  AbortLocked(txn);
+}
+
+void AtomicObject::AbortLocked(TxnId txn) {
   recovery_->Abort(txn);
   held_.erase(txn);
   if (recorder_ != nullptr) recorder_->Record(Event::Abort(txn, id_));
@@ -303,10 +308,10 @@ Status AtomicObject::ReplayCommitted(TxnId txn, const OpSeq& ops, Lsn lsn) {
           op.ToString().c_str(), TxnName(txn).c_str(), id_.c_str()));
     }
   }
-  recovery_->Commit(txn);
+  const Status committed = recovery_->Commit(txn);
   if (lsn != kNoLsn && lsn > last_lsn_) last_lsn_ = lsn;
   ++commit_tick_;
-  return Status::OK();
+  return committed;
 }
 
 std::unique_ptr<SpecState> AtomicObject::CommittedState() {

@@ -127,20 +127,22 @@ class AtomicObject {
   // transaction with ONE journal append: it locks every touched object in
   // canonical (ObjectId sort) order via LockForCommit, runs
   // CollectCommitLocked at each — which folds the object's redo ops into
-  // the shared record, releases the transaction's operation locks, and
-  // wakes waiters — appends the record while still holding ALL the locks
-  // (so the record's LSN orders before any record that can read from this
-  // transaction, preserving the early-lock-release safety argument), then
-  // runs FinalizeCommitLocked at each object: the deferred commit state
-  // transition (after the append, so the group-commit sync overlaps the
-  // fold work instead of queueing behind it) plus the install of the
-  // record's LSN (kNoLsn: the object contributed no ops). Both *Locked
-  // calls require the lock returned by LockForCommit to be held; the same
-  // mutex also pairs state and LSN for SnapshotForCheckpoint, so a fuzzy
-  // checkpoint can never observe the transaction's state without its LSN.
+  // the shared record — appends the record while still holding ALL the
+  // locks (so the record's LSN orders before any record that can read from
+  // this transaction, preserving the early-lock-release safety argument),
+  // then runs FinalizeCommitLocked at each object: the deferred commit
+  // state transition (after the append, so the group-commit sync overlaps
+  // the fold work instead of queueing behind it), the install of the
+  // record's LSN (kNoLsn: the object contributed no ops), the release of
+  // the operation locks and the waiter wakeup — or, for a record the
+  // pipeline refused, AbortLocked. The *Locked calls require the lock
+  // returned by LockForCommit to be held; the same mutex also pairs state
+  // and LSN for SnapshotForCheckpoint, so a fuzzy checkpoint can never
+  // observe the transaction's state without its LSN.
   std::unique_lock<std::mutex> LockForCommit();
   void CollectCommitLocked(TxnId txn, OpSeq* redo);
   void FinalizeCommitLocked(TxnId txn, Lsn lsn);
+  void AbortLocked(TxnId txn);
 
   // Wakes `txn`'s waiter (if it is blocked here) so a kill is observed
   // immediately instead of at the next timeout. Called by TxnManager::Kill
@@ -196,7 +198,7 @@ class AtomicObject {
   //      locks, no waiters — the same condition MarkDropped requires, plus
   //      not dropped/evicted and a state codec); return the encoded state
   //      and its LSN.
-  //   2. The caller makes the image durable enough (WaitDurable on the
+  //   2. The caller makes the image durable enough (WaitWatermark on the
   //      ticket LSN so the image never reflects records the journal could
   //      still lose), then — inside one store-mutex critical section —
   //      skips a stale ticket (EvictTicketCurrent: another eviction may

@@ -13,6 +13,7 @@
 
 #include "common/string_util.h"
 #include "core/adt.h"
+#include "txn/group_commit.h"
 #include "txn/journal_format.h"
 #include "txn/txn_manager.h"
 
@@ -266,6 +267,7 @@ StatusOr<Lsn> Checkpointer::Write(TxnManager* manager, Lsn anchor) {
   // its LSN became durable, and the state is frozen while evicted), so the
   // store path skips its Put and the file path reads the bytes back.
   std::vector<bool> resident;
+  Lsn newest = anchor;  // highest LSN the image will carry
   for (AtomicObject* obj : manager->objects()) {
     if (!obj->adt().supports_state_codec()) {
       return Status::NotSupported(StrFormat(
@@ -292,6 +294,7 @@ StatusOr<Lsn> Checkpointer::Write(TxnManager* manager, Lsn anchor) {
     entry.id = obj->id();
     entry.factory = obj->factory_name();
     entry.lsn = snap.lsn;
+    newest = std::max(newest, snap.lsn);
     if (snap.state == nullptr) {
       if (options_.store == nullptr) {
         return Status::IllegalState(StrFormat(
@@ -311,6 +314,13 @@ StatusOr<Lsn> Checkpointer::Write(TxnManager* manager, Lsn anchor) {
     image.objects.push_back(std::move(entry));
   }
   if (options_.after_walk) options_.after_walk();
+  // Publish nothing the journal could still lose: the walk took each
+  // object at its last SEQUENCED LSN, and an image LSN above the durable
+  // journal would be reused after restart, then skipped as covered. The
+  // wait cuts the linger; a fail-stopped pipeline fails it.
+  if (GroupCommitPipeline* pipeline = manager->commit_pipeline()) {
+    CCR_RETURN_IF_ERROR(pipeline->WaitWatermark(newest));
+  }
 
   if (options_.store != nullptr) {
     {

@@ -171,10 +171,13 @@ class Checkpointer {
   // meta key), optionally plus the file (options.also_write_file).
   // `anchor` MUST have been read from the journal (its high LSN) before
   // this call — the caller owns that ordering; Write cannot reconstruct
-  // it. kNotSupported if any object's ADT lacks a state codec (the system
-  // then keeps full-journal replay). On success the image is durable and,
-  // on the file path, older checkpoints beyond options.keep are
-  // garbage-collected. Returns the anchor written.
+  // it. Before publishing, Write waits until the manager's pipeline (if
+  // any) has made the anchor and every snapshotted LSN durable; a
+  // fail-stopped pipeline fails the write with its status and nothing is
+  // published. kNotSupported if any object's ADT lacks a state codec
+  // (the system then keeps full-journal replay). On success the image is
+  // durable and, on the file path, older checkpoints beyond options.keep
+  // are garbage-collected. Returns the anchor written.
   StatusOr<Lsn> Write(TxnManager* manager, Lsn anchor);
 
   // Decodes the newest intact checkpoint in `dir`; falls back to older

@@ -52,7 +52,6 @@ void DuRecovery::CollectCommit(TxnId txn, OpSeq* redo) {
   // commit cost — waits for FinalizeCommit so it overlaps the record's
   // group-commit sync. A workspace created by Candidates alone (every
   // invocation disabled) has no intentions and contributes nothing.
-  ++stats_.commits;
   auto it = workspaces_.find(txn);
   if (it == workspaces_.end()) return;  // read-free transaction
   if (journal_ != nullptr) {
@@ -62,6 +61,7 @@ void DuRecovery::CollectCommit(TxnId txn, OpSeq* redo) {
 }
 
 void DuRecovery::FinalizeCommit(TxnId txn) {
+  ++stats_.commits;
   auto it = workspaces_.find(txn);
   if (it == workspaces_.end()) return;  // read-free transaction
   // Apply the intentions list to the base copy, in list order.

@@ -6,6 +6,7 @@
 #include <chrono>
 
 #include "common/macros.h"
+#include "common/string_util.h"
 #include "txn/journal_io.h"
 
 namespace ccr {
@@ -34,16 +35,19 @@ GroupCommitPipeline::~GroupCommitPipeline() {
   if (flusher_.joinable()) flusher_.join();
 }
 
-Lsn GroupCommitPipeline::Sequence(Journal::Entry entry) {
+StatusOr<Lsn> GroupCommitPipeline::Sequence(Journal::Entry entry) {
   std::unique_lock<std::mutex> lk(mu_);
+  if (failed_.load(std::memory_order_relaxed)) return failure_;
   const Lsn lsn = next_lsn_++;
   ++stats_.records_sequenced;
   if (options_.mode == DurabilityMode::kSync) {
     // Baseline: the durability point stays inside the caller's critical
     // section — append + fdatasync per record, ack-ready on return.
     const Status s = writer_->Append(entry);
-    CCR_CHECK_MSG(s.ok(), "durable journal append failed: %s",
-                  s.ToString().c_str());
+    if (!s.ok()) {
+      Fail(lk, "append+sync", s);
+      return lsn;
+    }
     ++stats_.records_flushed;
     ++stats_.batches;
     ++stats_.syncs;
@@ -57,30 +61,44 @@ Lsn GroupCommitPipeline::Sequence(Journal::Entry entry) {
   return lsn;
 }
 
-void GroupCommitPipeline::WaitDurable(Lsn lsn) {
-  if (lsn == kNoLsn) return;
-  if (options_.mode != DurabilityMode::kGroup) return;
-  if (durable_lsn_.load(std::memory_order_acquire) >= lsn) return;
+Status GroupCommitPipeline::WaitDurable(Lsn lsn) {
+  // kSync is durable by the time Sequence returned; kRelaxed acks at
+  // sequencing — for both only the poison check remains.
+  return WaitWatermark(options_.mode == DurabilityMode::kGroup ? lsn : kNoLsn);
+}
+
+Status GroupCommitPipeline::WaitWatermark(Lsn lsn) {
+  if (!failed_.load(std::memory_order_acquire) &&
+      durable_lsn_.load(std::memory_order_acquire) >= lsn) {
+    return Status::OK();
+  }
   std::unique_lock<std::mutex> lk(mu_);
   ++waiters_;
   // A blocked committer cuts the flusher's linger short: it cannot produce
   // more records, so lingering past it only adds ack latency.
   work_cv_.notify_one();
   durable_cv_.wait(lk, [&] {
-    return durable_lsn_.load(std::memory_order_relaxed) >= lsn;
+    return failed_.load(std::memory_order_relaxed) ||
+           durable_lsn_.load(std::memory_order_relaxed) >= lsn;
   });
   --waiters_;
+  return failure_;
 }
 
-void GroupCommitPipeline::OnDurable(Lsn lsn, std::function<void()> cb) {
+void GroupCommitPipeline::OnDurable(Lsn lsn,
+                                    std::function<void(const Status&)> cb) {
+  Status status;
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.async_acks;
     // Same ack points as WaitDurable: kSync is durable by the time Sequence
     // returned, kRelaxed acknowledges at sequencing, and kGroup defers to
     // the watermark. The watermark re-check happens under mu_ so it cannot
-    // race the flusher's advance-and-drain (both hold mu_).
-    if (lsn != kNoLsn && options_.mode == DurabilityMode::kGroup &&
+    // race the flusher's advance-and-drain (both hold mu_), nor its
+    // poison-and-fail.
+    status = failure_;
+    if (status.ok() && lsn != kNoLsn &&
+        options_.mode == DurabilityMode::kGroup &&
         durable_lsn_.load(std::memory_order_relaxed) < lsn) {
       pending_acks_.push_back(PendingAck{lsn, std::move(cb)});
       std::push_heap(pending_acks_.begin(), pending_acks_.end(),
@@ -95,7 +113,13 @@ void GroupCommitPipeline::OnDurable(Lsn lsn, std::function<void()> cb) {
       return;
     }
   }
-  cb();
+  cb(status);
+}
+
+Status GroupCommitPipeline::status() const {
+  // Lock-free: failure_ is immutable once failed_ is set (see the member).
+  if (!failed_.load(std::memory_order_acquire)) return Status::OK();
+  return failure_;
 }
 
 void GroupCommitPipeline::Drain() {
@@ -106,8 +130,10 @@ void GroupCommitPipeline::Drain() {
   // Once the watermark covers `target`, every pending ack at or below it has
   // been popped for firing (pop and advance share one mu_ hold), so waiting
   // for acks_in_flight_ == 0 is what upgrades "durable" to "acknowledged".
+  // Poisoning pops every pending ack the same way, for failing.
   durable_cv_.wait(lk, [&] {
-    return durable_lsn_.load(std::memory_order_relaxed) >= target &&
+    return (failed_.load(std::memory_order_relaxed) ||
+            durable_lsn_.load(std::memory_order_relaxed) >= target) &&
            acks_in_flight_ == 0;
   });
   --waiters_;
@@ -173,42 +199,45 @@ void GroupCommitPipeline::FlusherLoop() {
 void GroupCommitPipeline::FlushBatch(std::deque<Journal::Entry>* batch,
                                      Lsn high) {
   // Encode + append off the lock: sequencers keep enqueueing (and object
-  // critical sections keep draining) while this batch hits the disk.
+  // critical sections keep draining) while this batch hits the disk. The
+  // first failure ends the batch: no sync follows a failed append.
+  Status s;
+  const char* what = "append";
   for (const Journal::Entry& entry : *batch) {
-    const Status s = writer_->AppendNoSync(entry);
-    CCR_CHECK_MSG(s.ok(), "durable journal append failed: %s",
-                  s.ToString().c_str());
+    s = writer_->AppendNoSync(entry);
+    if (!s.ok()) break;
   }
-  const Status s = writer_->Sync();
-  CCR_CHECK_MSG(s.ok(), "durable journal sync failed: %s",
-                s.ToString().c_str());
-  std::vector<std::function<void()>> ready;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.records_flushed += batch->size();
-    ++stats_.batches;
-    ++stats_.syncs;
-    stats_.max_batch_observed =
-        std::max<uint64_t>(stats_.max_batch_observed, batch->size());
-    durable_lsn_.store(high, std::memory_order_release);
-    // Collect the async acks this batch covers under the same mu_ hold that
-    // advances the watermark — a concurrent OnDurable either sees the new
-    // watermark (runs inline) or enqueued before this drain (fires here).
-    auto greater = [](const PendingAck& a, const PendingAck& b) {
-      return a.lsn > b.lsn;
-    };
-    while (!pending_acks_.empty() && pending_acks_.front().lsn <= high) {
-      std::pop_heap(pending_acks_.begin(), pending_acks_.end(), greater);
-      ready.push_back(std::move(pending_acks_.back().cb));
-      pending_acks_.pop_back();
-    }
-    acks_in_flight_ += ready.size();
+  if (s.ok()) {
+    what = "sync";
+    s = writer_->Sync();
   }
+  std::unique_lock<std::mutex> lk(mu_);
+  if (!s.ok()) return Fail(lk, what, s);
+  stats_.records_flushed += batch->size();
+  ++stats_.batches;
+  ++stats_.syncs;
+  stats_.max_batch_observed =
+      std::max<uint64_t>(stats_.max_batch_observed, batch->size());
+  durable_lsn_.store(high, std::memory_order_release);
+  // Collect the async acks this batch covers under the same mu_ hold that
+  // advances the watermark — a concurrent OnDurable either sees the new
+  // watermark (runs inline) or enqueued before this drain (fires here).
+  std::vector<std::function<void(const Status&)>> ready;
+  auto greater = [](const PendingAck& a, const PendingAck& b) {
+    return a.lsn > b.lsn;
+  };
+  while (!pending_acks_.empty() && pending_acks_.front().lsn <= high) {
+    std::pop_heap(pending_acks_.begin(), pending_acks_.end(), greater);
+    ready.push_back(std::move(pending_acks_.back().cb));
+    pending_acks_.pop_back();
+  }
+  acks_in_flight_ += ready.size();
+  lk.unlock();
   // Notify off the lock: a batch wakes every blocked committer, and waking
   // them into a held mutex just reconvoys them.
   durable_cv_.notify_all();
   // Async acks also run off the lock, in LSN order, on this flusher thread.
-  for (std::function<void()>& cb : ready) cb();
+  for (std::function<void(const Status&)>& cb : ready) cb(Status::OK());
   if (!ready.empty()) {
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -217,6 +246,31 @@ void GroupCommitPipeline::FlushBatch(std::deque<Journal::Entry>* batch,
     // Drain() waits for in-flight acks, not just the watermark.
     durable_cv_.notify_all();
   }
+}
+
+void GroupCommitPipeline::Fail(std::unique_lock<std::mutex>& lk,
+                               const char* what, const Status& s) {
+  failure_ = Status::Unavailable(
+      StrFormat("durable journal %s failed: %s", what, s.ToString().c_str()));
+  failed_.store(true, std::memory_order_release);
+  // Queued records never reach the sink; their committers learn it from
+  // WaitDurable / OnDurable.
+  queue_.clear();
+  std::vector<PendingAck> failed = std::move(pending_acks_);
+  pending_acks_.clear();
+  acks_in_flight_ += failed.size();
+  lk.unlock();
+  durable_cv_.notify_all();
+  if (failed.empty()) return;
+  std::sort(failed.begin(), failed.end(),
+            [](const PendingAck& a, const PendingAck& b) {
+              return a.lsn < b.lsn;
+            });
+  for (PendingAck& ack : failed) ack.cb(failure_);  // immutable from now on
+  lk.lock();
+  acks_in_flight_ -= failed.size();
+  lk.unlock();
+  durable_cv_.notify_all();
 }
 
 }  // namespace ccr

@@ -47,10 +47,18 @@
 //              log durable in the background, but an acknowledged commit
 //              may be lost to a crash (the watermark, not the ack, is the
 //              durability point).
+//
+// Fail-stop: the first sink append or sync that fails poisons the
+// pipeline. The watermark freezes, queued records are dropped, the sync is
+// never retried (a failed fdatasync may already have dropped the dirty
+// pages), no further byte reaches the sink, and every parked, pending and
+// later wait or ack fails with one kUnavailable status carrying the sink's
+// error text. Restart from disk is the recovery path.
 
 #ifndef CCR_TXN_GROUP_COMMIT_H_
 #define CCR_TXN_GROUP_COMMIT_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -60,6 +68,7 @@
 #include <vector>
 
 #include "common/latency_recorder.h"
+#include "common/status.h"
 #include "txn/journal.h"
 
 namespace ccr {
@@ -124,39 +133,53 @@ class GroupCommitPipeline {
   // next LSN and either appends+syncs inline (kSync) or enqueues it for
   // the flusher (kGroup/kRelaxed). Called under the journal mutex
   // (Journal::AppendCommit/AppendLifecycle forward), which is what makes
-  // the LSN order equal the journal's entry order.
-  Lsn Sequence(Journal::Entry entry);
-  Lsn Sequence(Journal::CommitRecord record) {
-    return Sequence(Journal::Entry::Commit(record.txn, std::move(record.ops)));
-  }
+  // the LSN order equal the journal's entry order. A poisoned pipeline
+  // refuses the entry with its failure. (A kSync entry whose own inline
+  // write fails keeps its LSN; its committer learns from WaitDurable.)
+  StatusOr<Lsn> Sequence(Journal::Entry entry);
 
-  // Blocks until `lsn` is durable (kGroup). Returns immediately in kSync
-  // (already durable) and kRelaxed (ack is explicitly non-durable). No-op
-  // for kNoLsn.
-  void WaitDurable(Lsn lsn);
+  // The acknowledgment point: blocks until `lsn` is durable (kGroup);
+  // returns at once in kSync (already durable) and kRelaxed (ack is
+  // explicitly non-durable) and for kNoLsn. Once poisoned, the failure —
+  // even for an LSN that was durable before it.
+  Status WaitDurable(Lsn lsn);
+
+  // Blocks until the durable watermark covers `lsn`, in every mode: the
+  // wait an image (fuzzy checkpoint, eviction Put) must pass before it may
+  // reach the disk, since an image ahead of the journal would restart into
+  // state the journal cannot justify. Cuts the linger like a parked
+  // committer. Once poisoned, the failure.
+  Status WaitWatermark(Lsn lsn);
 
   // Async counterpart of WaitDurable: runs `cb` once `lsn` is covered by
   // the mode's acknowledgment point, without parking the calling thread.
   // Mirrors WaitDurable's contract exactly — kSync (already durable),
-  // kRelaxed (ack is sequencing), and kNoLsn run `cb` inline on the calling
-  // thread; in kGroup a not-yet-durable `lsn` defers `cb` to the flusher,
-  // which invokes it (holding no pipeline locks) right after the batch sync
-  // that advances the watermark past `lsn`. Callbacks for one batch fire in
-  // LSN order; they must not block on the pipeline (WaitDurable/Drain from
-  // a callback deadlocks the flusher). A pending callback cuts the
-  // flusher's linger exactly like a parked committer: it stands for a
-  // client waiting on the ack, and under saturation the sync itself is the
-  // batching window, so lingering past a registered ack only adds latency.
-  void OnDurable(Lsn lsn, std::function<void()> cb);
+  // kRelaxed (ack is sequencing), and kNoLsn run `cb(OK)` inline on the
+  // calling thread; in kGroup a not-yet-durable `lsn` defers `cb` to the
+  // flusher, which invokes it (holding no pipeline locks) right after the
+  // batch sync that advances the watermark past `lsn`. Poisoning runs
+  // `cb(failure)` instead — pending callbacks on the failing thread, later
+  // ones inline; each callback runs once. Callbacks for one batch fire in
+  // LSN order; they must not block on the pipeline
+  // (WaitDurable/Drain from a callback deadlocks the flusher). A pending
+  // callback cuts the flusher's linger exactly like a parked committer: it
+  // stands for a client waiting on the ack, and under saturation the sync
+  // itself is the batching window, so lingering past a registered ack only
+  // adds latency.
+  void OnDurable(Lsn lsn, std::function<void(const Status&)> cb);
 
-  // Highest LSN known durable (on disk, synced).
+  // Highest LSN known durable (on disk, synced). Frozen once poisoned.
   Lsn durable_lsn() const { return durable_lsn_.load(std::memory_order_acquire); }
+
+  // OK while healthy; the kUnavailable failure once poisoned.
+  Status status() const;
 
   // Blocks until everything sequenced so far is durable AND every OnDurable
   // callback covered by the watermark has finished running — after Drain
   // returns, no ack for a durable LSN is still pending or mid-flight on the
-  // flusher. Used at shutdown and by harnesses before inspecting the sink
-  // image or ack-side state.
+  // flusher (poisoned: once the failed callbacks have run). Used at
+  // shutdown and by harnesses before inspecting the sink image or ack-side
+  // state.
   void Drain();
 
   void RecordAckLatency(uint64_t us);
@@ -164,10 +187,20 @@ class GroupCommitPipeline {
   GroupCommitStats stats() const;
 
  private:
+  struct PendingAck {
+    Lsn lsn;
+    std::function<void(const Status&)> cb;
+  };
+
   void FlusherLoop();
   // Appends `batch` to the writer, issues one sync, advances the watermark
   // to `high`, and wakes committers. Called with mu_ released.
   void FlushBatch(std::deque<Journal::Entry>* batch, Lsn high);
+  // Poisons the pipeline with the sink's failure `s` at step `what` (`lk`
+  // holds mu_), drops the queue, then — with `lk` released — wakes every
+  // waiter and fails every pending ack, in LSN order.
+  void Fail(std::unique_lock<std::mutex>& lk, const char* what,
+            const Status& s);
 
   JournalWriter* const writer_;
   const GroupCommitOptions options_;
@@ -180,15 +213,17 @@ class GroupCommitPipeline {
   // Deferred OnDurable callbacks, a min-heap on lsn (std::push_heap with a
   // greater-than comparator). Invariant: every pending lsn is above the
   // watermark and at or below next_lsn_-1, so its record is still in queue_
-  // or in the batch being flushed — the flusher always drains the heap.
-  struct PendingAck {
-    Lsn lsn;
-    std::function<void()> cb;
-  };
+  // or in the batch being flushed — the flusher always drains the heap
+  // (Fail drains it too).
   std::vector<PendingAck> pending_acks_;
   size_t acks_in_flight_ = 0;  // ready acks currently executing off-lock
   Lsn next_lsn_ = 1;                         // LSN the next Sequence assigns
   std::atomic<Lsn> durable_lsn_{0};
+  // Set once, under mu_, when a sink call fails; failure_ is written
+  // before the release store and never again, so a reader that acquires
+  // failed_ == true may read it without mu_.
+  std::atomic<bool> failed_{false};
+  Status failure_;
   bool stop_ = false;
   GroupCommitStats stats_;  // ack_latency_us lives in ack_latency_us_
 

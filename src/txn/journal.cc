@@ -19,31 +19,37 @@ Lsn Journal::high_lsn() const {
   return base_lsn_ + static_cast<Lsn>(entries_.size());
 }
 
-Lsn Journal::AppendEntry(Entry entry) {
+StatusOr<Lsn> Journal::AppendEntry(Entry entry) {
   std::lock_guard<std::mutex> lock(mu_);
   if (pipeline_ == nullptr) {
     entries_.push_back(std::move(entry));
     return kNoLsn;
   }
-  // Copy into the volatile view, hand the original to the pipeline. Called
-  // under the journal mutex, so the pipeline's LSN order equals entries_
-  // order (the pipeline's counter is asserted against ours).
+  // Copy into the volatile view (a copy is sized to fit; the original's
+  // vectors may carry growth slack, and the view keeps every entry), hand
+  // the original to the pipeline. Called under the journal mutex, so the
+  // pipeline's LSN order equals entries_ order (the pipeline's counter is
+  // asserted against ours). A record the pipeline refuses leaves the view.
   const Lsn lsn = base_lsn_ + static_cast<Lsn>(entries_.size()) + 1;
   entries_.push_back(entry);
-  const Lsn sequenced = pipeline_->Sequence(std::move(entry));
-  CCR_CHECK_MSG(sequenced == lsn,
+  const StatusOr<Lsn> sequenced = pipeline_->Sequence(std::move(entry));
+  if (!sequenced.ok()) {
+    entries_.pop_back();
+    return sequenced.status();
+  }
+  CCR_CHECK_MSG(*sequenced == lsn,
                 "pipeline LSN %llu diverged from journal LSN %llu — the "
                 "pipeline is shared with another journal",
-                static_cast<unsigned long long>(sequenced),
+                static_cast<unsigned long long>(*sequenced),
                 static_cast<unsigned long long>(lsn));
   return lsn;
 }
 
-Lsn Journal::AppendCommit(TxnId txn, OpSeq ops) {
+StatusOr<Lsn> Journal::AppendCommit(TxnId txn, OpSeq ops) {
   return AppendEntry(Entry::Commit(txn, std::move(ops)));
 }
 
-Lsn Journal::AppendLifecycle(LifecycleRecord record) {
+StatusOr<Lsn> Journal::AppendLifecycle(LifecycleRecord record) {
   return AppendEntry(Entry::Lifecycle(std::move(record)));
 }
 

@@ -36,6 +36,7 @@
 #include <mutex>
 #include <vector>
 
+#include "common/status.h"
 #include "core/adt.h"
 #include "core/event.h"
 
@@ -142,13 +143,14 @@ class Journal {
   // journal is volatile-only — no pipeline attached; the in-memory record
   // is still kept). The record is durable only once the pipeline's
   // watermark reaches the returned LSN; the transaction's ack must wait
-  // for it (TxnManager::Commit does).
-  Lsn AppendCommit(TxnId txn, OpSeq ops);
+  // for it (TxnManager::Commit does). A poisoned pipeline refuses the
+  // record: its failure status is returned and nothing is kept.
+  StatusOr<Lsn> AppendCommit(TxnId txn, OpSeq ops);
 
   // Appends one object-lifecycle record (create/drop). Same durability
   // semantics as AppendCommit: the returned LSN is durable only once the
   // pipeline watermark covers it.
-  Lsn AppendLifecycle(LifecycleRecord record);
+  StatusOr<Lsn> AppendLifecycle(LifecycleRecord record);
 
   // All commit records, in commit order, lifecycle records elided.
   // Deep-copies; prefer ForEachRecord on hot or O(n²)-prone paths
@@ -177,7 +179,7 @@ class Journal {
 
  private:
   // Shared append path; assigns the LSN and sequences into the pipeline.
-  Lsn AppendEntry(Entry entry);
+  StatusOr<Lsn> AppendEntry(Entry entry);
 
   mutable std::mutex mu_;
   std::vector<Entry> entries_;

@@ -164,31 +164,6 @@ StatusOr<std::string> ReadFileImage(const std::string& path) {
   return image;
 }
 
-std::string_view FaultInjector::Admit(size_t index, std::string_view encoded) {
-  if (dead_) return {};
-  switch (kind_) {
-    case Kind::kNone:
-      return encoded;
-    case Kind::kCrash:
-      if (index >= record_) {
-        dead_ = true;
-        return {};
-      }
-      return encoded;
-    case Kind::kTear:
-      if (index == record_) {
-        dead_ = true;
-        return encoded.substr(0, std::min(keep_bytes_, encoded.size()));
-      }
-      if (index > record_) {
-        dead_ = true;
-        return {};
-      }
-      return encoded;
-  }
-  return encoded;
-}
-
 void FlipByte(std::string* image, size_t offset, uint8_t mask) {
   CCR_CHECK_MSG(offset < image->size(), "flip at %zu beyond image of %zu",
                 offset, image->size());
@@ -196,14 +171,8 @@ void FlipByte(std::string* image, size_t offset, uint8_t mask) {
       static_cast<uint8_t>((*image)[offset]) ^ mask);
 }
 
-JournalWriter::JournalWriter(ByteSink* sink, FaultInjector fault)
-    : sink_(sink), fault_(fault) {
+JournalWriter::JournalWriter(ByteSink* sink) : sink_(sink) {
   CCR_CHECK(sink_ != nullptr);
-}
-
-Status JournalWriter::Append(const Journal::CommitRecord& record) {
-  CCR_RETURN_IF_ERROR(AppendNoSync(record));
-  return Sync();
 }
 
 Status JournalWriter::Append(const Journal::Entry& entry) {
@@ -211,8 +180,9 @@ Status JournalWriter::Append(const Journal::Entry& entry) {
   return Sync();
 }
 
-Status JournalWriter::AppendNoSync(const Journal::CommitRecord& record) {
-  return AppendEncoded(EncodeCommitRecord(record));
+Status JournalWriter::Append(const Journal::CommitRecord& record) {
+  CCR_RETURN_IF_ERROR(AppendEncoded(EncodeCommitRecord(record)));
+  return Sync();
 }
 
 Status JournalWriter::AppendNoSync(const Journal::Entry& entry) {
@@ -220,30 +190,14 @@ Status JournalWriter::AppendNoSync(const Journal::Entry& entry) {
 }
 
 Status JournalWriter::AppendEncoded(const std::string& encoded) {
-  const std::string_view admitted = fault_.Admit(records_seen_++, encoded);
-  if (!admitted.empty()) {
-    CCR_RETURN_IF_ERROR(sink_->Append(admitted));
-    bytes_written_ += admitted.size();
-  }
-  if (admitted.size() == encoded.size()) {
-    ++records_appended_;
-    boundaries_.push_back(bytes_written_);
-  }
-  // Partial admit: the injected crash interrupted (or preceded) this
-  // write; the caller's simulated process is gone, so there is nothing to
-  // report upward — the in-memory journal keeps the record, the disk never
-  // sees it.
+  CCR_RETURN_IF_ERROR(sink_->Append(encoded));
+  bytes_written_ += encoded.size();
+  ++records_appended_;
+  boundaries_.push_back(bytes_written_);
   return Status::OK();
 }
 
-Status JournalWriter::Sync() {
-  // A dead (crashed) simulated process issues no further syncs: nothing
-  // written after the fault point may become a durable watermark.
-  if (fault_.dead()) return Status::OK();
-  CCR_RETURN_IF_ERROR(sink_->Sync());
-  sync_offsets_.push_back(bytes_written_);
-  return Status::OK();
-}
+Status JournalWriter::Sync() { return sink_->Sync(); }
 
 uint64_t JournalWriter::boundary(size_t index) const {
   CCR_CHECK_MSG(index < boundaries_.size(), "boundary %zu of %zu", index,

@@ -1,16 +1,17 @@
 // Copyright 2026 The ccr Authors.
 //
 // The byte-level side of the durable journal: a sink abstraction over the
-// "disk" (in-memory image for tests and fault sweeps, a real append-only
-// file for deployments), a JournalWriter that frames commit records through
-// an optional FaultInjector, and a JournalReader that scans a crash image
-// back into an in-memory Journal under the torn-tail truncation rule of
-// journal_format.h.
+// "disk" (in-memory image for tests, a real append-only file, a segmented
+// directory for deployments) and a JournalWriter that frames journal
+// entries into a sink. ScanJournalImage (journal_format.h) reads a crash
+// image back under the torn-tail truncation rule.
 //
-// Fault injection happens at the writer/sink boundary, which is exactly
-// where real crashes land: a crash at a record boundary loses whole
-// records, a torn write loses the suffix of one record, and at-rest bit
-// rot flips bytes in the stored image.
+// Faults are injected at the sink boundary, which is exactly where real
+// crashes land: named CrashPoints kill the simulated machine inside the
+// segmented sink, the checkpointer and the store; the crash driver
+// (sim/crash_harness.h) wraps the sink to die at, or tear, a given record
+// or to fail an append or sync; at-rest bit rot flips bytes in the stored
+// image (FlipByte).
 
 #ifndef CCR_TXN_JOURNAL_IO_H_
 #define CCR_TXN_JOURNAL_IO_H_
@@ -166,9 +167,8 @@ struct SegmentedSinkOptions {
 
 // A ByteSink writing a segmented journal. Each Append call must carry
 // exactly one full encoded record frame (JournalWriter appends whole
-// frames; do not combine with FaultInjector partial admits) — the sink
-// counts records to assign segment-header LSNs. Thread-safe: a checkpoint
-// thread may truncate while the flusher appends.
+// frames) — the sink counts records to assign segment-header LSNs.
+// Thread-safe: a checkpoint thread may truncate while the flusher appends.
 class SegmentedFileSink : public ByteSink {
  public:
   // Opens a NEW active segment in `dir` whose first record will carry
@@ -251,124 +251,48 @@ Status ForEachSegmentedRecord(
     const std::function<Status(Lsn, Journal::CommitRecord&&)>& fn,
     RecoveryReport* report);
 
-// Write-path fault injection. A fault is positioned by *record index* (the
-// i-th appended record, 0-based):
-//
-//   None           — all bytes reach the disk.
-//   CrashAtRecord  — records [0, i) reach the disk; record i and everything
-//                    after are lost (the process died before the write).
-//   TearRecord     — record i reaches the disk only as its first
-//                    `keep_bytes` bytes; everything after is lost (the
-//                    crash interrupted the write itself).
-//
-// At-rest corruption is not a write-path event; use FlipByte on the stored
-// image instead.
-class FaultInjector {
- public:
-  static FaultInjector None() { return FaultInjector(Kind::kNone, 0, 0); }
-  static FaultInjector CrashAtRecord(size_t record) {
-    return FaultInjector(Kind::kCrash, record, 0);
-  }
-  static FaultInjector TearRecord(size_t record, size_t keep_bytes) {
-    return FaultInjector(Kind::kTear, record, keep_bytes);
-  }
-
-  // The prefix of `encoded` the disk receives for the record at `index`;
-  // empty once the injected crash has happened.
-  std::string_view Admit(size_t index, std::string_view encoded);
-
-  // True once the fault has fired: the simulated process is dead and no
-  // further bytes reach the disk.
-  bool dead() const { return dead_; }
-
- private:
-  enum class Kind { kNone, kCrash, kTear };
-
-  FaultInjector(Kind kind, size_t record, size_t keep_bytes)
-      : kind_(kind), record_(record), keep_bytes_(keep_bytes) {}
-
-  Kind kind_;
-  size_t record_;
-  size_t keep_bytes_;
-  bool dead_ = false;
-};
-
 // XORs `mask` into byte `offset` of a stored image (at-rest bit rot).
 void FlipByte(std::string* image, size_t offset, uint8_t mask = 0x01);
 
-// Frames commit records into a sink, through the fault injector. Calls are
-// expected to be externally serialized (GroupCommitPipeline appends under
-// its mutex in kSync mode and from its single flusher thread otherwise).
+// Frames journal entries into a sink. Calls are expected to be externally
+// serialized (GroupCommitPipeline appends under its mutex in kSync mode and
+// from its single flusher thread otherwise).
 class JournalWriter {
  public:
-  explicit JournalWriter(ByteSink* sink,
-                         FaultInjector fault = FaultInjector::None());
+  explicit JournalWriter(ByteSink* sink);
 
-  // Encodes `record`, passes it through the injector, and appends whatever
-  // the injector admits. Each append is followed by Sync: the commit
+  // Encodes one journal entry (commit or lifecycle record; a bare commit
+  // record frames as a commit entry), appends it, and syncs: the commit
   // record is the durability point, so it must be on disk before the
   // commit is acknowledged. (The pipeline's kSync path.)
+  Status Append(const Journal::Entry& entry);
   Status Append(const Journal::CommitRecord& record);
 
   // Appends without syncing — the group-commit path. The record is NOT
   // durable until the next Sync() returns; the pipeline advances its
   // durable watermark (and acknowledges committers) only after that sync.
-  Status AppendNoSync(const Journal::CommitRecord& record);
-
-  // Entry variants: one journal entry (commit or lifecycle record) per
-  // frame, same fault-injection and boundary accounting.
-  Status Append(const Journal::Entry& entry);
   Status AppendNoSync(const Journal::Entry& entry);
 
-  // Durability barrier for everything appended so far. Records the synced
-  // byte offset (see sync_offsets). A no-op once the injected fault has
-  // fired: the simulated process is dead, and a dead process issues no
-  // more fdatasyncs.
+  // Durability barrier for everything appended so far.
   Status Sync();
 
   size_t records_appended() const { return records_appended_; }
   uint64_t bytes_written() const { return bytes_written_; }
 
-  // Byte offset at which record `index` started (index <= records seen so
-  // far); boundary(n) for n == records seen is the current end offset.
-  // These are the crash points of the boundary fault sweep.
+  // Byte offset at which record `index` started (index <= records
+  // appended so far); boundary(n) for n == records appended is the
+  // current end offset. Cutting an image there (or inside the next frame)
+  // is a crash at (or during) that record.
   uint64_t boundary(size_t index) const;
 
-  // Byte offsets covered by each completed Sync, in order — the durable
-  // watermarks. A crash preserving X image bytes can only have happened
-  // after the syncs with offset <= X (a sync with offset > X could not
-  // have returned), so the transactions acknowledged before that crash are
-  // exactly those whose record's end offset lies under such a sync. The
-  // ack-durability audits of the crash harness are built on this.
-  const std::vector<uint64_t>& sync_offsets() const { return sync_offsets_; }
-
  private:
-  // Shared tail of AppendNoSync: injector admit + sink append + boundary
-  // accounting for one already-encoded frame.
+  // Sink append + boundary accounting for one encoded frame.
   Status AppendEncoded(const std::string& encoded);
 
   ByteSink* sink_;
-  FaultInjector fault_;
-  size_t records_seen_ = 0;      // records offered (including dropped ones)
-  size_t records_appended_ = 0;  // records fully admitted to the sink
+  size_t records_appended_ = 0;
   uint64_t bytes_written_ = 0;
   std::vector<uint64_t> boundaries_{0};
-  std::vector<uint64_t> sync_offsets_;
-};
-
-// Scans a crash image back into an in-memory Journal (see
-// ScanJournalImage for the truncation rule and the mid-journal-corruption
-// error contract).
-class JournalReader {
- public:
-  explicit JournalReader(std::string_view image) : image_(image) {}
-
-  StatusOr<Journal> Scan(RecoveryReport* report) const {
-    return ScanJournalImage(image_, report);
-  }
-
- private:
-  std::string_view image_;
 };
 
 }  // namespace ccr

@@ -60,36 +60,41 @@ class RecoveryManager {
   virtual void Apply(TxnId txn, const Operation& op,
                      std::unique_ptr<SpecState> next) = 0;
 
-  // Commit, phase 1 (collect): marks `txn` committed here and appends its
-  // redo operations — in the order replay must apply them, and only when a
-  // journal is attached — to *redo. The caller folds every touched object's
-  // ops into ONE commit record and journals it once, reporting the record's
-  // LSN back through the owning object. Implementations keep this phase
-  // cheap and leave the state transition to FinalizeCommit: the caller
-  // appends the record between the two phases, so the group-commit sync
-  // overlaps the fold work instead of waiting behind it.
+  // Commit, phase 1 (collect): appends `txn`'s redo operations — in the
+  // order replay must apply them, and only when a journal is attached — to
+  // *redo. The caller folds every touched object's ops into ONE commit
+  // record and journals it once, reporting the record's LSN back through
+  // the owning object. Implementations keep this phase cheap and leave the
+  // outcome to FinalizeCommit (or Abort, when the record is refused): the
+  // caller appends the record between the two phases, so the group-commit
+  // sync overlaps the fold work instead of waiting behind it.
   virtual void CollectCommit(TxnId txn, OpSeq* redo) = 0;
 
-  // Commit, phase 2 (finalize): the state transition (UIP's checkpoint
-  // fold, DU's intention application). Called exactly once after
-  // CollectCommit, under the same continuous hold of the owning object's
-  // mutex.
+  // Commit, phase 2 (finalize): marks `txn` committed and runs the state
+  // transition (UIP's checkpoint fold, DU's intention application). Called
+  // at most once after CollectCommit, under the same continuous hold of
+  // the owning object's mutex.
   virtual void FinalizeCommit(TxnId txn) = 0;
 
   virtual void Abort(TxnId txn) = 0;
 
   // Both commit phases for a transaction known only to this object, with
-  // its record appended to the attached journal in between. Returns the
-  // record's LSN (kNoLsn when no journal is attached or the transaction
-  // journaled nothing). Crash replay uses it with the journal detached.
-  Lsn Commit(TxnId txn) {
+  // its record appended to the attached journal in between. Crash replay
+  // uses it with the journal detached. A refused append (a poisoned
+  // pipeline) aborts the transaction instead and returns the failure.
+  Status Commit(TxnId txn) {
     OpSeq redo;
     CollectCommit(txn, &redo);
-    const Lsn lsn = journal_ == nullptr || redo.empty()
-                        ? kNoLsn
-                        : journal_->AppendCommit(txn, std::move(redo));
+    if (journal_ != nullptr && !redo.empty()) {
+      const Status appended =
+          journal_->AppendCommit(txn, std::move(redo)).status();
+      if (!appended.ok()) {
+        Abort(txn);
+        return appended;
+      }
+    }
     FinalizeCommit(txn);
-    return lsn;
+    return Status::OK();
   }
 
   // Snapshot of the state all *non-aborted* work yields under this method's

@@ -153,7 +153,10 @@ StatusOr<AtomicObject*> TxnManager::GetOrCreate(
           record.kind = LifecycleRecord::Kind::kCreate;
           record.object = id;
           record.factory = factory_name;
-          create_lsn = lifecycle_journal_->AppendLifecycle(std::move(record));
+          StatusOr<Lsn> lsn =
+              lifecycle_journal_->AppendLifecycle(std::move(record));
+          if (!lsn.ok()) return lsn.status();
+          create_lsn = *lsn;
         }
         return StatusOr<std::unique_ptr<AtomicObject>>(std::move(built));
       },
@@ -163,14 +166,21 @@ StatusOr<AtomicObject*> TxnManager::GetOrCreate(
   // object proceed immediately — any commit they acknowledge waits for a
   // higher LSN, which transitively covers the create.
   if (created && pipeline_ != nullptr && create_lsn != kNoLsn) {
-    pipeline_->WaitDurable(create_lsn);
+    CCR_RETURN_IF_ERROR(pipeline_->WaitDurable(create_lsn));
   }
   return *obj;
 }
 
 Status TxnManager::DropObject(const ObjectId& id) {
   Lsn drop_lsn = kNoLsn;
+  // With a store the whole drop holds the store mutex, from before its
+  // record is sequenced until its key Delete: a checkpoint whose anchor
+  // covers the record lands its batch after the Delete. Otherwise restart,
+  // which scans only past the anchor, could reinstall the dropped object
+  // from its stale key.
+  std::unique_lock<std::mutex> store_lock;
   if (store_ != nullptr) {
+    store_lock = std::unique_lock<std::mutex>(store_mu_);
     // Flag the id before retirement: between directory retirement and the
     // store key Delete below, GetOrCreate's fault-in could otherwise read
     // the doomed key and resurrect the dropped state as a new incarnation.
@@ -194,7 +204,10 @@ Status TxnManager::DropObject(const ObjectId& id) {
       LifecycleRecord record;
       record.kind = LifecycleRecord::Kind::kDrop;
       record.object = id;
-      drop_lsn = lifecycle_journal_->AppendLifecycle(std::move(record));
+      StatusOr<Lsn> lsn =
+          lifecycle_journal_->AppendLifecycle(std::move(record));
+      if (!lsn.ok()) return lsn.status();
+      drop_lsn = *lsn;
     }
     return Status::OK();
   });
@@ -203,7 +216,9 @@ Status TxnManager::DropObject(const ObjectId& id) {
     return status;
   }
   if (pipeline_ != nullptr && drop_lsn != kNoLsn) {
-    pipeline_->WaitDurable(drop_lsn);
+    // Not durable: the key must not be deleted (restart still holds the
+    // object's images and journal), so leave it flagged and report.
+    CCR_RETURN_IF_ERROR(pipeline_->WaitDurable(drop_lsn));
   }
   if (store_ != nullptr) {
     // Delete the store key AFTER the directory retirement returned (never
@@ -215,12 +230,8 @@ Status TxnManager::DropObject(const ObjectId& id) {
     // stays flagged, so fault-in keeps refusing the stale key.
     StoreWriteBatch batch;
     batch.Delete(StoreObjectKey(id));
-    Status deleted;
-    {
-      std::lock_guard<std::mutex> lock(store_mu_);
-      deleted = store_->ApplyBatch(batch, ObjectStore::Durability::kBuffered);
-    }
-    if (!deleted.ok()) return deleted;
+    CCR_RETURN_IF_ERROR(
+        store_->ApplyBatch(batch, ObjectStore::Durability::kBuffered));
   }
   unflag();
   return Status::OK();
@@ -244,9 +255,11 @@ Status TxnManager::CompleteEvict(AtomicObject* obj,
   CCR_CHECK(store_ != nullptr);
   // Two-phase gap — no object mutex held across the I/O below. First make
   // the image's LSN durable: an image ahead of the recoverable journal
-  // would restart into state the journal cannot justify.
-  if (pipeline_ != nullptr && ticket.lsn != kNoLsn) {
-    pipeline_->WaitDurable(ticket.lsn);
+  // would restart into state the journal cannot justify. The watermark, not
+  // the ack point — kRelaxed acks before it. A poisoned pipeline fails the
+  // wait and the image is never written.
+  if (pipeline_ != nullptr) {
+    CCR_RETURN_IF_ERROR(pipeline_->WaitWatermark(ticket.lsn));
   }
   {
     std::lock_guard<std::mutex> lock(store_mu_);
@@ -267,8 +280,8 @@ Status TxnManager::CompleteEvict(AtomicObject* obj,
               EncodeStoreObjectValue(ticket.lsn, obj->factory_name(),
                                      ticket.encoded));
     // Buffered: the next checkpoint sync hardens it. Until then the
-    // journal alone reconstructs the state — WaitDurable above guarantees
-    // the journal reaches at least the image's LSN.
+    // journal alone reconstructs the state — WaitWatermark above
+    // guarantees the journal reaches at least the image's LSN.
     CCR_RETURN_IF_ERROR(
         store_->ApplyBatch(batch, ObjectStore::Durability::kBuffered));
     // Flip under the same store-mutex hold that wrote the image: anyone
@@ -977,7 +990,7 @@ Status TxnManager::Commit(Transaction* txn) {
   // could have read from — an acknowledged commit never depends on a
   // lost one.
   if (pipeline_ != nullptr && *high_lsn != kNoLsn) {
-    pipeline_->WaitDurable(*high_lsn);
+    CCR_RETURN_IF_ERROR(pipeline_->WaitDurable(*high_lsn));
     pipeline_->RecordAckLatency(static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - commit_start)
@@ -1056,8 +1069,14 @@ StatusOr<Lsn> TxnManager::CommitAsync(Transaction* txn) {
     objs[i]->CollectCommitLocked(txn->id(), &redo);
     held[i].wrote = redo.size() > before;
   }
-  const Lsn lsn =
-      redo.empty() ? kNoLsn : journal->AppendCommit(txn->id(), std::move(redo));
+  // A poisoned pipeline refuses the record; with nothing to journal it
+  // still fails the commit, since what was read may be lost at restart.
+  StatusOr<Lsn> lsn = kNoLsn;
+  if (!redo.empty()) {
+    lsn = journal->AppendCommit(txn->id(), std::move(redo));
+  } else if (pipeline_ != nullptr && !pipeline_->status().ok()) {
+    lsn = pipeline_->status();
+  }
 
   // The deferred per-object state transitions (UIP's checkpoint fold, DU's
   // intention application) run after the record is sequenced: the
@@ -1066,19 +1085,25 @@ StatusOr<Lsn> TxnManager::CommitAsync(Transaction* txn) {
   // drops as soon as its own finalize completes — the record's LSN is
   // already assigned, so invariant (a) holds, and the object's state is
   // commit-complete, so a checkpoint snapshot taken the instant the lock
-  // releases pairs the new state with the new LSN.
+  // releases pairs the new state with the new LSN. A refused transaction
+  // is undone at each object before its mutex drops: no later transaction
+  // sees effects the journal never got.
   for (size_t i = 0; i < objs.size(); ++i) {
-    objs[i]->FinalizeCommitLocked(txn->id(), held[i].wrote ? lsn : kNoLsn);
+    if (lsn.ok()) {
+      objs[i]->FinalizeCommitLocked(txn->id(), held[i].wrote ? *lsn : kNoLsn);
+    } else {
+      objs[i]->AbortLocked(txn->id());
+    }
     held[i].lock.unlock();
   }
-  txn->set_state(TxnState::kCommitted);
+  txn->set_state(lsn.ok() ? TxnState::kCommitted : TxnState::kAborted);
   detector_.Forget(txn->id());
   {
     LiveStripe& stripe = live_stripe(txn->id());
     std::lock_guard<std::mutex> lock(stripe.mu);
     stripe.txns.erase(txn->id());
   }
-  committed_.fetch_add(1, std::memory_order_relaxed);
+  (lsn.ok() ? committed_ : aborted_).fetch_add(1, std::memory_order_relaxed);
   return lsn;
 }
 

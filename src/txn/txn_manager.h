@@ -156,14 +156,17 @@ class TxnManager {
   // record is journaled before the object becomes visible — so the create's
   // LSN precedes every commit record of the object. kInvalidArgument when
   // `id` is not a journal name (IsJournalName), before anything is built or
-  // journaled; kNotFound when the factory is unknown.
+  // journaled; kNotFound when the factory is unknown; the pipeline's
+  // kUnavailable failure once it has fail-stopped (GroupCommitPipeline).
   StatusOr<AtomicObject*> GetOrCreate(const ObjectId& id,
                                       const std::string& factory_name);
 
   // Drops `id`: refuses (kIllegalState) while any transaction holds locks
   // or waits at the object; otherwise journals a `drop` record and retires
   // the object — lookups stop returning it, raced Execute calls fail with
-  // kNotFound, and memory stays valid until restart. kNotFound when absent.
+  // kNotFound, and memory stays valid until restart. kNotFound when absent;
+  // the pipeline's failure when the drop record cannot be made durable
+  // (the store key is then left alone).
   Status DropObject(const ObjectId& id);
 
   // The journal create/drop records are appended to (usually the same
@@ -185,13 +188,18 @@ class TxnManager {
   ObjectStore* object_store() const { return store_; }
 
   // Serializes every store write batch this manager issues (eviction Puts,
-  // drop Deletes, the checkpoint batch). First in the lock order: never
-  // acquired while a directory stripe or object mutex is held.
+  // drop Deletes, the checkpoint batch). DropObject holds it for the whole
+  // drop, from before its record is sequenced until its key Delete, so no
+  // checkpoint anchor can cover a drop whose key still stands. First in
+  // the lock order: never acquired while a directory stripe or object
+  // mutex is held.
   std::mutex& store_mutex() { return store_mu_; }
 
   // Evicts `id`'s committed state to the object store: encodes it under
-  // the object mutex, waits for its last LSN to be durable (the image must
-  // never run ahead of the recoverable journal), Puts the image
+  // the object mutex, waits until the durable watermark covers its last
+  // LSN in every durability mode (the image must never run ahead of the
+  // recoverable journal; a fail-stopped pipeline fails the eviction before
+  // anything is written), Puts the image
   // (buffered — the next checkpoint sync hardens it), and swaps the
   // in-memory state for a placeholder. The object's shell stays in the
   // directory; first touch faults the state back in. kIllegalState without
@@ -290,6 +298,10 @@ class TxnManager {
   // pipeline is attached, it releases every touched object's locks first
   // (early lock release) and only then blocks until the record's LSN is
   // durable. A transaction's objects must share one journal (or have none).
+  // Once the pipeline has fail-stopped, Commit returns its kUnavailable
+  // failure: a record the pipeline refuses — and a transaction with
+  // nothing to journal, such as a read — is undone and aborted, and a
+  // record it sequenced but could not make durable is not acknowledged.
   std::shared_ptr<Transaction> Begin();
   StatusOr<Value> Execute(Transaction* txn, const Invocation& inv);
   Status Commit(Transaction* txn);
@@ -302,8 +314,9 @@ class TxnManager {
   // GroupCommitPipeline::OnDurable(lsn, ...) — and must not report the
   // commit to anyone before that point fires.
   // kNoLsn means nothing was journaled (volatile objects): ack immediately.
-  // On error (e.g. kDeadlock when a kill won the arbitration) the
-  // transaction is already aborted, exactly like Commit.
+  // On error (e.g. kDeadlock when a kill won the arbitration, or a
+  // fail-stopped pipeline's failure) the transaction is already aborted,
+  // exactly like Commit.
   StatusOr<Lsn> CommitAsync(Transaction* txn);
 
   // Executes a whole multi-key batch for `txn` in one call: ops are grouped

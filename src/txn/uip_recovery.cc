@@ -39,11 +39,11 @@ void UipRecovery::Apply(TxnId txn, const Operation& op,
 
 void UipRecovery::CollectCommit(TxnId txn, OpSeq* redo) {
   // Hand the transaction's operations, in response order, to the caller's
-  // commit record and mark the transaction committed; the log fold waits
+  // commit record; marking the transaction committed and the log fold wait
   // for FinalizeCommit so the record's group-commit sync runs concurrently
-  // with it. A read-free transaction contributes nothing: an empty record
-  // redoes nothing and only bloats the journal and slows replay.
-  ++stats_.commits;
+  // with them (and a refused record can still abort). A read-free
+  // transaction contributes nothing: an empty record redoes nothing and
+  // only bloats the journal and slows replay.
   if (journal_ != nullptr) {
     auto it = pending_ops_.find(txn);
     if (it != pending_ops_.end()) {
@@ -52,13 +52,13 @@ void UipRecovery::CollectCommit(TxnId txn, OpSeq* redo) {
       pending_ops_.erase(it);
     }
   }
-  // A transaction with no log entries has nothing to fold; remembering it
-  // would leak (nothing ever erases it again).
-  if (live_counts_.count(txn) > 0) committed_in_log_.insert(txn);
 }
 
 void UipRecovery::FinalizeCommit(TxnId txn) {
-  (void)txn;
+  ++stats_.commits;
+  // A transaction with no log entries has nothing to fold; remembering it
+  // would leak (nothing ever erases it again).
+  if (live_counts_.count(txn) > 0) committed_in_log_.insert(txn);
   Checkpoint();
 }
 

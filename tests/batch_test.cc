@@ -322,10 +322,10 @@ TEST(BatchDeadlockTest, AdversarialOrdersNeverDeadlock) {
   EXPECT_EQ(objects.timeouts, 0u);
 }
 
-// Crash-offset sweep: batches over four objects journaled through the
-// pipeline, crashed at every tenth of the image in all three durability
-// modes. The harness audits that every multi-object record is
-// all-or-nothing across its objects (batch_records_partial == 0), acked
+// Crash sweep: batches over four objects journaled through the pipeline,
+// the machine dying at every tenth of the live run in all three durability
+// modes. The driver audits that every multi-object record is
+// all-or-nothing across its objects (multi_object_partial == 0), acked
 // batches are never lost, and recovered state matches the surviving
 // prefix.
 TEST_P(BatchTest, CrashSweepBatchRecordsAllOrNothing) {
@@ -352,7 +352,7 @@ TEST_P(BatchTest, CrashSweepBatchRecordsAllOrNothing) {
       options.driver.threads = 2;
       options.driver.txns_per_thread = 20;
       options.driver.seed = 7 + tenth;
-      options.crash_fraction = tenth / 10.0;
+      options.fault = CrashFault::AtFraction(tenth / 10.0);
       options.group_commit = GroupCommitOptions{mode};
       const CrashScenarioResult result =
           RunCrashScenario(factory, body, options);
@@ -361,12 +361,14 @@ TEST_P(BatchTest, CrashSweepBatchRecordsAllOrNothing) {
           << result.status.ToString();
       EXPECT_TRUE(result.ok()) << "mode " << static_cast<int>(mode)
                                << " tenth " << tenth;
-      EXPECT_EQ(result.batch_records_partial, 0u);
-      EXPECT_GT(result.batch_records_total, 0u);
+      EXPECT_EQ(result.multi_object_partial, 0u);
+      EXPECT_GT(result.multi_object_txns, 0u);
       if (tenth == 10) {
         // Clean shutdown: every batch recovered whole.
-        EXPECT_EQ(result.batch_records_recovered,
-                  result.batch_records_total);
+        EXPECT_EQ(result.multi_object_whole, result.multi_object_txns);
+      } else {
+        EXPECT_TRUE(result.fault_fired)
+            << "mode " << static_cast<int>(mode) << " tenth " << tenth;
       }
     }
   }
@@ -393,17 +395,17 @@ TEST_P(BatchTest, CheckpointedRestartSplitsBatchAcrossBuckets) {
     }
     return manager->ExecuteBatch(txn, ops).status();
   };
-  CheckpointCrashOptions options;
+  CrashScenarioOptions options;
   options.driver.threads = 2;
   options.driver.txns_per_thread = 15;
-  options.checkpoint_every = 7;
+  options.maintenance_every = 7;
   options.replay_threads = 4;
-  const CheckpointCrashResult result =
-      RunCheckpointCrashScenario(factory, body, options);
+  const CrashScenarioResult result = RunCrashScenario(factory, body, options);
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
   EXPECT_TRUE(result.ok());
-  EXPECT_GT(result.checkpoints_written, 0u);
-  EXPECT_EQ(result.records_appended, result.records_total);
+  EXPECT_GT(result.checkpoints, 0u);
+  EXPECT_EQ(result.records_on_disk, result.records_total);
+  EXPECT_EQ(result.multi_object_whole, result.multi_object_txns);
 }
 
 // A batch that fails mid-execution — earlier object groups already

@@ -861,36 +861,146 @@ TEST(CheckpointCrashTest, RecoveryConsistentAtEveryMaintenanceCrashPoint) {
       "ckpt.before_tmp_sync", "ckpt.before_rename", "ckpt.before_dirsync",
       "ckpt.before_gc"};
   for (const std::string& point : points) {
-    CheckpointCrashOptions options;
+    CrashScenarioOptions options;
     options.driver.threads = 2;
     options.driver.txns_per_thread = 30;
     options.driver.seed = 7;
     options.max_segment_bytes = 256;
-    options.checkpoint_every = 15;
-    options.crash_point = point;
+    options.maintenance_every = 15;
+    options.fault = CrashFault::AtPoint(point);
     options.replay_threads = 2;
-    const CheckpointCrashResult result =
-        RunCheckpointCrashScenario(TwoObjectFactory, MixedBody(), options);
+    const CrashScenarioResult result =
+        RunCrashScenario(TwoObjectFactory, MixedBody(), options);
     EXPECT_TRUE(result.ok())
         << "point '" << point << "': status " << result.status.ToString()
-        << ", appended " << result.records_appended << "/"
-        << result.records_total << ", acked " << result.acked_records
-        << ", recovered_all_appended " << result.recovered_all_appended
-        << ", state_matches_prefix " << result.state_matches_prefix
+        << ", on disk " << result.records_on_disk << "/"
+        << result.records_total << ", acked " << result.acked
+        << ", prefix_ok " << result.prefix_ok << ", state_ok "
+        << result.state_ok << ", acked_lost " << result.acked_lost
         << ", high_lsn " << result.summary.high_lsn;
     if (point.empty()) {
-      EXPECT_FALSE(result.crash_fired);
-      EXPECT_EQ(result.records_appended, result.records_total);
-      EXPECT_GE(result.checkpoints_written, 1u);
+      EXPECT_FALSE(result.fault_fired);
+      EXPECT_EQ(result.records_on_disk, result.records_total);
+      EXPECT_GE(result.checkpoints, 1u);
       EXPECT_GE(result.truncations, 1u);
       EXPECT_GT(result.summary.checkpoint_anchor, 0u);
     } else {
-      EXPECT_TRUE(result.crash_fired)
+      EXPECT_TRUE(result.fault_fired)
           << "point '" << point << "' was never reached — the scenario "
           << "does not exercise it";
     }
   }
 }
+
+// A fuzzy checkpoint must never be published ahead of the durable journal.
+// The walk snapshots each object at its last SEQUENCED LSN, and restart
+// resumes the LSN space after max(anchor, durable tail): were the image
+// published with an LSN the journal had not made durable, the next
+// generation would reuse that LSN, and the one after would skip its record
+// as covered by the image — an acknowledged commit lost at the second
+// restart. Single-threaded and deterministic: a 10 s linger keeps the
+// second deposit sequenced but not durable until something waits for it.
+class CheckpointDurabilityTest
+    : public ::testing::TestWithParam<DurabilityMode> {};
+
+void CopyDir(const std::string& from, const std::string& to) {
+  StatusOr<std::vector<std::string>> names = ListDir(from);
+  CCR_CHECK(names.ok());
+  for (const std::string& name : *names) {
+    StatusOr<std::string> bytes = ReadFileImage(from + "/" + name);
+    CCR_CHECK(bytes.ok());
+    StatusOr<std::unique_ptr<FileSink>> copy = FileSink::Open(to + "/" + name);
+    CCR_CHECK(copy.ok());
+    CCR_CHECK((*copy)->Append(*bytes).ok());
+    CCR_CHECK((*copy)->Sync().ok());
+    CCR_CHECK((*copy)->Close().ok());
+  }
+}
+
+int64_t BalanceOf(const SpecState& state) {
+  return TypedSpecAutomaton<Int64State>::Unwrap(state).v;
+}
+
+void SingleAccountFactory(TxnManager* manager) {
+  auto ba = MakeBankAccount();
+  manager->AddObject("BA", ba, MakeNrbcConflict(ba),
+                     std::make_unique<UipRecovery>(ba));
+}
+
+TEST_P(CheckpointDurabilityTest, AckedCommitSurvivesTheSecondRestart) {
+  TempDir dir;
+  TempDir crashed;  // what the disk held at the crash
+  auto ba = MakeBankAccount();
+  const auto deposit = [&](TxnManager* manager, int64_t amount) {
+    return manager->RunTransaction([&](Transaction* txn) {
+      return manager->Execute(txn, ba->DepositInv(amount)).status();
+    });
+  };
+  {
+    TxnManager gen1;
+    SingleAccountFactory(&gen1);
+    StatusOr<std::unique_ptr<SegmentedFileSink>> sink =
+        SegmentedFileSink::Open(dir.path(), 1);
+    ASSERT_TRUE(sink.ok());
+    JournalWriter writer(sink->get());
+    GroupCommitOptions gc{GetParam()};
+    gc.max_delay_us = 10'000'000;
+    GroupCommitPipeline pipeline(&writer, gc);
+    Journal journal;
+    journal.set_pipeline(&pipeline);
+    gen1.set_commit_pipeline(&pipeline);
+    gen1.object("BA")->recovery().set_journal(&journal);
+
+    ASSERT_TRUE(deposit(&gen1, 5).ok());  // acknowledged at LSN 1
+    const Lsn anchor = journal.high_lsn();
+    ASSERT_EQ(anchor, 1u);
+    auto txn = gen1.Begin();
+    ASSERT_TRUE(gen1.Execute(txn.get(), ba->DepositInv(7)).ok());
+    const StatusOr<Lsn> lsn = gen1.CommitAsync(txn.get());
+    ASSERT_TRUE(lsn.ok());
+    ASSERT_EQ(*lsn, 2u);
+    EXPECT_LT(pipeline.durable_lsn(), 2u);  // sequenced, lingering
+    ASSERT_TRUE(Checkpointer(dir.path()).Write(&gen1, anchor).ok());
+    CopyDir(dir.path(), crashed.path());  // the crash
+  }
+  // Generation 2 restarts from the crashed disk, resumes the documented
+  // protocol, and acknowledges a deposit of 100 under kSync.
+  {
+    TxnManager gen2;
+    SingleAccountFactory(&gen2);
+    StatusOr<RestartSummary> summary = gen2.RestartFromDir(crashed.path());
+    ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+    EXPECT_EQ(BalanceOf(*gen2.object("BA")->CommittedState()), 12);
+    StatusOr<std::unique_ptr<SegmentedFileSink>> sink =
+        SegmentedFileSink::Open(crashed.path(), summary->high_lsn + 1);
+    ASSERT_TRUE(sink.ok());
+    JournalWriter writer(sink->get());
+    GroupCommitOptions gc{DurabilityMode::kSync};
+    gc.first_lsn = summary->high_lsn + 1;
+    GroupCommitPipeline pipeline(&writer, gc);
+    Journal journal;
+    journal.set_base_lsn(summary->high_lsn);
+    journal.set_pipeline(&pipeline);
+    gen2.set_commit_pipeline(&pipeline);
+    gen2.object("BA")->recovery().set_journal(&journal);
+    ASSERT_TRUE(deposit(&gen2, 100).ok());
+    EXPECT_EQ(BalanceOf(*gen2.object("BA")->CommittedState()), 112);
+  }
+  // Generation 3: the acknowledged deposit is still there.
+  TxnManager gen3;
+  SingleAccountFactory(&gen3);
+  StatusOr<RestartSummary> summary = gen3.RestartFromDir(crashed.path());
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  EXPECT_EQ(summary->high_lsn, 3u);  // 5, 7, then 100 — no LSN reused
+  EXPECT_EQ(BalanceOf(*gen3.object("BA")->CommittedState()), 112);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AckModes, CheckpointDurabilityTest,
+    ::testing::Values(DurabilityMode::kGroup, DurabilityMode::kRelaxed),
+    [](const ::testing::TestParamInfo<DurabilityMode>& info) {
+      return info.param == DurabilityMode::kGroup ? "Group" : "Relaxed";
+    });
 
 // ---------------------------------------------------------------------------
 // Fuzzy checkpoint under live concurrent load

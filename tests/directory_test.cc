@@ -758,19 +758,21 @@ TEST(LifecycleCrashTest, CrashFractionSweepRecoversCleanly) {
       options.driver.threads = 3;
       options.driver.txns_per_thread = 25;
       options.driver.seed = 11;
-      options.crash_fraction = fraction;
+      options.fault = CrashFault::AtFraction(fraction);
       options.group_commit = GroupCommitOptions{mode};
       const CrashScenarioResult result =
           RunCrashScenario(LifecycleSystemFactory, LifecycleBody(), options);
       EXPECT_TRUE(result.ok())
           << "mode " << static_cast<int>(mode) << " fraction " << fraction
-          << ": status " << result.status.ToString()
-          << ", prefix_of_commit_order " << result.prefix_of_commit_order
-          << ", state_matches_prefix " << result.state_matches_prefix
-          << ", acked_recovered " << result.acked_recovered << ", acked "
-          << result.acked_records << "/" << result.records_total;
+          << ": status " << result.status.ToString() << ", prefix_ok "
+          << result.prefix_ok << ", state_ok " << result.state_ok
+          << ", acked_lost " << result.acked_lost << ", acked "
+          << result.acked << "/" << result.records_total;
       if (fraction == 1.0) {
         EXPECT_GT(result.records_total, 0u);
+        EXPECT_EQ(result.summary.high_lsn, result.records_total);
+      } else {
+        EXPECT_TRUE(result.fault_fired) << "fraction " << fraction;
       }
     }
   }
@@ -783,28 +785,28 @@ TEST(LifecycleCrashTest, MaintenanceCrashPointsWithLifecycleRecords) {
       "trunc.after_unlink",   "ckpt.torn_tmp",     "ckpt.before_rename",
       "ckpt.before_dirsync",  "ckpt.before_gc"};
   for (const std::string& point : points) {
-    CheckpointCrashOptions options;
+    CrashScenarioOptions options;
     options.driver.threads = 2;
     options.driver.txns_per_thread = 30;
     options.driver.seed = 13;
     options.max_segment_bytes = 256;
-    options.checkpoint_every = 12;
-    options.crash_point = point;
+    options.maintenance_every = 12;
+    options.fault = CrashFault::AtPoint(point);
     options.replay_threads = 2;
-    const CheckpointCrashResult result = RunCheckpointCrashScenario(
-        LifecycleSystemFactory, LifecycleBody(), options);
+    const CrashScenarioResult result =
+        RunCrashScenario(LifecycleSystemFactory, LifecycleBody(), options);
     EXPECT_TRUE(result.ok())
         << "point '" << point << "': status " << result.status.ToString()
-        << ", appended " << result.records_appended << "/"
-        << result.records_total << ", recovered_all_appended "
-        << result.recovered_all_appended << ", state_matches_prefix "
-        << result.state_matches_prefix;
+        << ", on disk " << result.records_on_disk << "/"
+        << result.records_total << ", prefix_ok " << result.prefix_ok
+        << ", state_ok " << result.state_ok << ", acked_lost "
+        << result.acked_lost;
     if (point.empty()) {
-      EXPECT_FALSE(result.crash_fired);
-      EXPECT_EQ(result.records_appended, result.records_total);
-      EXPECT_GE(result.checkpoints_written, 1u);
+      EXPECT_FALSE(result.fault_fired);
+      EXPECT_EQ(result.records_on_disk, result.records_total);
+      EXPECT_GE(result.checkpoints, 1u);
     } else {
-      EXPECT_TRUE(result.crash_fired)
+      EXPECT_TRUE(result.fault_fired)
           << "point '" << point << "' was never reached";
     }
   }

@@ -539,7 +539,7 @@ TEST(JournalIoTest, WriterRoundTripsThroughMemorySink) {
   EXPECT_EQ(writer.records_appended(), records.size());
   EXPECT_EQ(writer.bytes_written(), sink.image().size());
   RecoveryReport report;
-  StatusOr<Journal> scanned = JournalReader(sink.image()).Scan(&report);
+  StatusOr<Journal> scanned = ScanJournalImage(sink.image(), &report);
   ASSERT_TRUE(scanned.ok());
   EXPECT_EQ(scanned->size(), records.size());
   // Record boundaries bracket the image.
@@ -569,36 +569,43 @@ TEST(JournalIoTest, WriterRoundTripsThroughFileSink) {
   std::remove(path.c_str());
 }
 
+// A crash before record `crash` reached the disk: the image is a clean
+// writer's, cut at that record's boundary.
 TEST(JournalIoTest, CrashAtRecordDropsSuffix) {
   const auto records = SampleRecords();
+  MemorySink sink;
+  JournalWriter writer(&sink);
+  for (const auto& record : records) {
+    ASSERT_TRUE(writer.Append(record).ok());
+  }
   for (size_t crash = 0; crash <= records.size(); ++crash) {
-    MemorySink sink;
-    JournalWriter writer(&sink, FaultInjector::CrashAtRecord(crash));
-    for (const auto& record : records) {
-      ASSERT_TRUE(writer.Append(record).ok());
-    }
-    EXPECT_EQ(writer.records_appended(), std::min(crash, records.size()));
+    const std::string crashed = sink.image().substr(0, writer.boundary(crash));
     RecoveryReport report;
-    StatusOr<Journal> scanned = ScanJournalImage(sink.image(), &report);
+    StatusOr<Journal> scanned = ScanJournalImage(crashed, &report);
     ASSERT_TRUE(scanned.ok());
     EXPECT_EQ(report.records_replayed, std::min(crash, records.size()));
     EXPECT_FALSE(report.corrupt_tail);  // boundary crash: clean prefix
   }
 }
 
+// A crash during record `torn`'s write: the image is a clean writer's, cut
+// `keep` bytes into that record.
 TEST(JournalIoTest, TornRecordTruncatesAtRecovery) {
   const auto records = SampleRecords();
+  MemorySink sink;
+  JournalWriter writer(&sink);
+  for (const auto& record : records) {
+    ASSERT_TRUE(writer.Append(record).ok());
+  }
   for (size_t torn = 0; torn < records.size(); ++torn) {
     const size_t encoded_size = EncodeCommitRecord(records[torn]).size();
+    ASSERT_EQ(writer.boundary(torn + 1) - writer.boundary(torn), encoded_size);
     for (size_t keep : {size_t{1}, kJournalFrameHeaderSize - 1,
                         kJournalFrameHeaderSize + 1, encoded_size - 1}) {
-      MemorySink sink;
-      JournalWriter writer(&sink, FaultInjector::TearRecord(torn, keep));
-      for (const auto& record : records) {
-        ASSERT_TRUE(writer.Append(record).ok());
-      }
+      const std::string crashed =
+          sink.image().substr(0, writer.boundary(torn) + keep);
       RecoveryReport report;
-      StatusOr<Journal> scanned = ScanJournalImage(sink.image(), &report);
+      StatusOr<Journal> scanned = ScanJournalImage(crashed, &report);
       ASSERT_TRUE(scanned.ok()) << "torn " << torn << " keep " << keep;
       EXPECT_EQ(report.records_replayed, torn);
       EXPECT_EQ(report.bytes_truncated, std::min(keep, encoded_size));

@@ -3,10 +3,10 @@
 // Serving-boundary tests: coalescing record economy (K independent
 // submissions -> ONE engine transaction and ONE journal record), exact
 // admission-control accounting with no engine-state leaks, per-submission
-// error attribution via demotion, the wire codec's round-trip and
-// torn/corrupt-frame behavior, the serving crash scenario (zero
-// acked-but-lost with the cut landing mid-serving), and open-loop
-// generator accounting.
+// error attribution via demotion, fail-stop on a poisoned pipeline, the
+// wire codec's round-trip and torn/corrupt-frame behavior, the serving
+// crash scenario (zero acked-but-lost with the cut landing mid-serving),
+// and open-loop generator accounting.
 
 #include <gtest/gtest.h>
 
@@ -32,6 +32,33 @@ namespace ccr {
 namespace {
 
 constexpr int kKeys = 8;
+
+// A memory journal disk that can start failing: after Fail(), every
+// append returns ENOSPC, and calls reaching it after the failure are
+// counted.
+class FailingSink : public MemorySink {
+ public:
+  void Fail() { failing_ = true; }
+  Status Append(std::string_view bytes) override {
+    if (failing_) return Refuse();
+    return MemorySink::Append(bytes);
+  }
+  Status Sync() override {
+    if (failing_) return Refuse();
+    return MemorySink::Sync();
+  }
+  // Calls after the first refusal (the pipeline must make none).
+  int calls_after_failure() const { return refused_ > 0 ? refused_ - 1 : 0; }
+
+ private:
+  Status Refuse() {
+    ++refused_;
+    return Status::Internal("journal device: no space left on device");
+  }
+
+  std::atomic<bool> failing_{false};
+  std::atomic<int> refused_{0};
+};
 
 // A counter bank journaled through a group-commit pipeline into a memory
 // sink — the full serving stack minus the front end, which each test
@@ -67,7 +94,7 @@ struct ServedSystem {
     return ops;
   }
 
-  MemorySink sink;
+  FailingSink sink;
   JournalWriter writer;
   GroupCommitPipeline pipeline;
   Journal journal;
@@ -290,29 +317,48 @@ TEST(ServeFrontendTest, SubmitFutureDeliversValues) {
   EXPECT_EQ(sys.JournalOps(), 3u);
 }
 
-// Halt (the crash path) abandons queued submissions: their completions
-// fire with kUnavailable — never acked, never executed.
-TEST(ServeFrontendTest, HaltAbandonsQueuedSubmissions) {
+// A poisoned pipeline is the front end's crash path: once the journal
+// device fails, the group in flight and the groups still queued complete
+// with kUnavailable — never acked — new submissions are shed with it, and
+// the sink receives nothing more.
+TEST(ServeFrontendTest, PoisonedPipelineFailsQueuedSubmissions) {
   ServedSystem sys;
-  ServeFrontend frontend(&sys.manager, ManualDrive());
-  std::atomic<int> abandoned{0};
+  ServeFrontendOptions options = ManualDrive();
+  options.max_group = 2;  // two groups: one in flight, one still queued
+  ServeFrontend frontend(&sys.manager, options);
+  std::atomic<int> failed{0};
+  const ServeCompletion expect_unavailable = [&failed](const Status& s,
+                                                       std::vector<Value>) {
+    EXPECT_EQ(s.code(), StatusCode::kUnavailable) << s.ToString();
+    failed.fetch_add(1);
+  };
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(frontend
-                    .SubmitAsync({sys.Inc(i)},
-                                 [&abandoned](const Status& s,
-                                              std::vector<Value>) {
-                                   EXPECT_EQ(s.code(),
-                                             StatusCode::kUnavailable);
-                                   abandoned.fetch_add(1);
-                                 })
-                    .ok());
+    ASSERT_TRUE(frontend.SubmitAsync({sys.Inc(i)}, expect_unavailable).ok());
   }
-  frontend.Halt();
-  EXPECT_EQ(abandoned.load(), 4);
-  EXPECT_EQ(sys.journal.size(), 0u);  // nothing was executed
+  sys.sink.Fail();
+  // The first group executes and sequences its record; the flusher's
+  // append fails and the pipeline poisons, failing the group's acks.
+  ASSERT_EQ(frontend.PumpOnce(), 2u);
+  sys.pipeline.Drain();
+  EXPECT_EQ(sys.pipeline.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(failed.load(), 2);
+  // The queued group is failed without being executed.
+  ASSERT_EQ(frontend.PumpOnce(), 2u);
+  EXPECT_EQ(failed.load(), 4);
+  EXPECT_EQ(sys.journal.size(), 1u);  // only the first group's record
+  // New submissions are shed with the failure; their completion never
+  // fires.
+  EXPECT_EQ(frontend.SubmitAsync({sys.Inc(5)}, expect_unavailable).code(),
+            StatusCode::kUnavailable);
+  frontend.Stop();
+  EXPECT_EQ(failed.load(), 4);
   const ServeStats stats = frontend.stats();
   EXPECT_EQ(stats.accepted, 4u);
-  EXPECT_EQ(stats.completed_error, 4u);
+  EXPECT_EQ(stats.completed_ok, 0u);
+  EXPECT_EQ(stats.completed_error, stats.accepted);
+  EXPECT_EQ(stats.shed, 1u);
+  EXPECT_TRUE(sys.sink.image().empty());
+  EXPECT_EQ(sys.sink.calls_after_failure(), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -451,34 +497,50 @@ RequestFactory SmallIncRequests() {
   };
 }
 
-// Crash with the submission queue live: at every cut, zero acked-but-lost
-// submissions, op conservation at the journal, coalesced records recover
-// all-or-nothing, and for mid-run cuts some records were genuinely in
-// flight (unsynced) when the machine died.
+// Crash with the submission queue live: the machine dies at the record
+// the journal appends once the acks reach a fraction of the burst. At
+// every cut: zero acked-but-lost submissions, ops acked ⊆ recovered ⊆
+// journaled (exact conservation on the clean run), coalesced records
+// recover all-or-nothing, and for mid-run cuts the audit ran over a
+// non-empty acked set and accepted submissions were still in flight when
+// the machine died — they completed with the failure.
 TEST(ServeCrashTest, NoAckedSubmissionLostAtAnyCut) {
   for (const double fraction : {0.25, 0.5, 0.75, 1.0}) {
-    ServeCrashOptions options;
+    CrashScenarioOptions options;
     options.requests = 200;
-    options.crash_fraction = fraction;
+    options.driver.threads = 2;  // submitters
+    options.fault = CrashFault::AtFraction(fraction);
     options.frontend.queue_depth = 32;  // small: the burst must shed
     options.frontend.max_group = 8;     // several coalesced records per run
-    const ServeCrashResult result =
-        RunServeCrashScenario(CounterBankFactory(), SmallIncRequests(),
-                              options);
+    // Small sync batches: acks arrive all through the burst, so a cut
+    // lands among acknowledged submissions.
+    options.group_commit.max_batch = 2;
+    const CrashScenarioResult result = RunCrashScenario(
+        CounterBankFactory(), SmallIncRequests(), options);
     EXPECT_TRUE(result.ok())
-        << "fraction " << fraction << ": crash.ok=" << result.crash.ok()
-        << " conserved=" << result.ops_conserved
-        << " (journal " << result.journal_ops << " vs acked "
-        << result.completed_ops << ") inflight=" << result.inflight_at_crash
-        << " status=" << result.crash.status.ToString();
-    EXPECT_EQ(result.submitted, 200u);
-    EXPECT_EQ(result.accepted + result.shed, result.submitted);
-    EXPECT_EQ(result.completed_ok + result.completed_error, result.accepted);
+        << "fraction " << fraction << ": status " << result.status.ToString()
+        << " prefix " << result.prefix_ok << " state " << result.state_ok
+        << " ops acked " << result.acked_ops << " recovered "
+        << result.recovered_ops << " journaled " << result.journal_ops;
+    // Shed submissions are retried: every request is accepted once, until
+    // the engine fail-stops and refuses the rest.
+    EXPECT_LE(result.serve.accepted, 200u);
+    EXPECT_EQ(result.serve.accepted + result.serve.shed,
+              result.serve.submitted);
+    EXPECT_EQ(result.serve.completed_ok + result.serve.completed_error,
+              result.serve.accepted);
+    EXPECT_EQ(result.acked, result.serve.completed_ok);
     if (fraction < 1.0) {
-      EXPECT_GT(result.inflight_at_crash, 0u) << "fraction " << fraction;
+      EXPECT_TRUE(result.fault_fired) << "fraction " << fraction;
+      EXPECT_GT(result.serve.completed_error, 0u) << "fraction " << fraction;
+      EXPECT_GT(result.acked, 0u) << "fraction " << fraction;
+      EXPECT_GT(result.acked_ops, 0u) << "fraction " << fraction;
+    } else {
+      EXPECT_EQ(result.serve.accepted, 200u);
+      EXPECT_EQ(result.acked_ops, result.journal_ops);
     }
     // The boundary actually batched under the burst.
-    EXPECT_GT(result.coalesced_txns, 0u);
+    EXPECT_GT(result.serve.coalesced_txns, 0u);
   }
 }
 

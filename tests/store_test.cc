@@ -11,10 +11,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <mutex>
 #include <string>
+#include <thread>
+#include <vector>
 
 #ifndef _WIN32
 #include <unistd.h>
@@ -539,6 +544,147 @@ TEST(EvictionTest, StaleEvictionDoesNotOverwriteNewerImage) {
   EXPECT_EQ(*world.Read("D1"), 7) << "a stale eviction image lost a commit";
 }
 
+// A journal sink whose Sync parks while the gate is closed: it holds a
+// durable wait (and whoever waits behind it) at the durability point.
+class GatedSink : public MemorySink {
+ public:
+  void Close() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = false;
+  }
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+  // Blocks until a Sync is parked at the closed gate.
+  void WaitForParkedSync() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return parked_ > 0; });
+  }
+  Status Sync() override {
+    std::unique_lock<std::mutex> lock(mu_);
+    ++parked_;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return open_; });
+    --parked_;
+    return Status::OK();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = true;
+  int parked_ = 0;
+};
+
+// The store as the checkpoint and the drop see it: forwards to a memory
+// store and logs each batch's keys in application order.
+class BatchLogStore : public ObjectStore {
+ public:
+  Status ApplyBatch(const StoreWriteBatch& batch,
+                    Durability durability) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const StoreOp& op : batch.ops()) {
+      log_.push_back((op.kind == StoreOp::Kind::kPut ? "put " : "delete ") +
+                     op.key);
+    }
+    return store_.ApplyBatch(batch, durability);
+  }
+  StatusOr<std::string> Get(const std::string& key) override {
+    return store_.Get(key);
+  }
+  Status Scan(const std::function<Status(const std::string&,
+                                         const std::string&)>& fn) override {
+    return store_.Scan(fn);
+  }
+  ObjectStoreStats stats() const override { return store_.stats(); }
+  std::vector<std::string> log() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return log_;
+  }
+
+ private:
+  MemObjectStore store_;
+  mutable std::mutex mu_;
+  std::vector<std::string> log_;
+};
+
+// Regression: a drop whose record a checkpoint anchor covers must have
+// its store key deleted before that checkpoint publishes. The drop used to
+// take the store mutex only for its key Delete, after its record became
+// durable — so a checkpoint that read its anchor past the drop record
+// could land its meta first, and a crash in between restarted into the
+// dropped object: the scan starts past the anchor and never sees the drop,
+// while the stale key still reads as part of the image. The live crash
+// driver's store sweep found it (StoreCrashTest, store.compact.before_
+// unlink). DropObject now holds the store mutex from before its record is
+// sequenced until the Delete. Deterministic: the drop is parked at its
+// durable wait by a closed sink gate.
+TEST(EvictionTest, DropHoldsStoreMutexUntilItsKeyIsDeleted) {
+  BatchLogStore store;
+  GatedSink sink;
+  JournalWriter writer(&sink);
+  GroupCommitPipeline pipeline(&writer, GroupCommitOptions{});
+  Journal journal;
+  journal.set_pipeline(&pipeline);
+  TxnManager manager;
+  RegisterCounterFactory(&manager);
+  manager.set_object_store(&store);
+  manager.set_lifecycle_journal(&journal);
+  manager.set_commit_pipeline(&pipeline);
+  ASSERT_TRUE(manager
+                  .RunTransaction([&](Transaction* txn) {
+                    const StatusOr<AtomicObject*> obj =
+                        manager.GetOrCreate("D1", kCounterFactory);
+                    if (!obj.ok()) return obj.status();
+                    return manager.Execute(txn, IncInv("D1", 4)).status();
+                  })
+                  .ok());
+  ASSERT_TRUE(manager.EvictObject("D1").ok());  // key o:D1 holds 4
+
+  sink.Close();
+  Status dropped;
+  std::thread dropper([&] { dropped = manager.DropObject("D1"); });
+  sink.WaitForParkedSync();  // the drop record is sequenced, not durable
+  ASSERT_EQ(manager.object("D1"), nullptr);
+  // The drop holds the store mutex across its durable wait.
+  const bool free = manager.store_mutex().try_lock();
+  if (free) manager.store_mutex().unlock();
+  EXPECT_FALSE(free) << "a checkpoint could publish past the pending drop";
+  // A transaction touching D1 in the window does not fault the doomed key
+  // back in.
+  {
+    auto txn = manager.Begin();
+    EXPECT_EQ(manager.Execute(txn.get(), IncInv("D1", 1)).status().code(),
+              StatusCode::kNotFound);
+    ASSERT_TRUE(manager.Abort(txn.get()).ok());
+  }
+  // A checkpoint whose anchor covers the drop record waits for the drop.
+  const Lsn anchor = journal.high_lsn();
+  CheckpointerOptions options;
+  options.store = &store;
+  StatusOr<Lsn> written = Status::Internal("not run");
+  TempDir dir;
+  std::thread checkpointer([&] {
+    written = Checkpointer(dir.path(), options).Write(&manager, anchor);
+  });
+  sink.Open();
+  dropper.join();
+  checkpointer.join();
+  ASSERT_TRUE(dropped.ok()) << dropped.ToString();
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  const std::vector<std::string> log = store.log();
+  const auto at = [&](const std::string& entry) {
+    return std::find(log.begin(), log.end(), entry) - log.begin();
+  };
+  ASSERT_LT(at("delete " + StoreObjectKey("D1")), log.size());
+  ASSERT_LT(at("put " + std::string(kStoreMetaKey)), log.size());
+  EXPECT_LT(at("delete " + StoreObjectKey("D1")),
+            at("put " + std::string(kStoreMetaKey)))
+      << "the checkpoint published its anchor before the dropped key died";
+}
+
 TEST(EvictionTest, LazyGetOrCreateReturnsEvictedShellWithoutCreateRecord) {
   StoreWorld world;
   ASSERT_TRUE(world.Inc("D1", 3).ok());
@@ -917,70 +1063,74 @@ TEST(StoreCrashTest, RecoveryConsistentAtEveryStoreCrashPoint) {
                                    {"DU", StoreSweepDuFactory}};
   for (const Mode& mode : modes) {
     for (const std::string& point : points) {
-      StoreCrashOptions options;
+      CrashScenarioOptions options;
       options.driver.threads = 2;
       options.driver.txns_per_thread = 40;
       options.driver.seed = 13;
       options.max_segment_bytes = 256;
+      options.store = true;
       options.store_segment_bytes = 256;
-      options.checkpoint_every = 12;
-      options.evict_every = 3;
-      options.crash_point = point;
+      options.maintenance_every = 6;
+      options.fault = CrashFault::AtPoint(point);
       options.replay_threads = 2;
-      const StoreCrashResult result =
-          RunStoreCrashScenario(mode.factory, StoreSweepBody(), options);
+      const CrashScenarioResult result =
+          RunCrashScenario(mode.factory, StoreSweepBody(), options);
       EXPECT_TRUE(result.ok())
           << mode.name << " point '" << point << "': status "
-          << result.status.ToString() << ", appended "
-          << result.records_appended << "/" << result.records_total
-          << ", acked " << result.acked_records
-          << ", recovered_all_appended " << result.recovered_all_appended
-          << ", state_matches_prefix " << result.state_matches_prefix
-          << ", evictions " << result.evictions << ", checkpoints "
-          << result.checkpoints_written << ", high_lsn "
-          << result.summary.high_lsn;
+          << result.status.ToString() << ", on disk "
+          << result.records_on_disk << "/" << result.records_total
+          << ", acked " << result.acked << ", acked_lost "
+          << result.acked_lost << ", prefix_ok " << result.prefix_ok
+          << ", state_ok " << result.state_ok << ", evictions "
+          << result.evictions << ", checkpoints " << result.checkpoints
+          << ", high_lsn " << result.summary.high_lsn;
       if (point.empty()) {
-        EXPECT_FALSE(result.crash_fired) << mode.name;
-        EXPECT_EQ(result.records_appended, result.records_total)
+        EXPECT_FALSE(result.fault_fired) << mode.name;
+        EXPECT_EQ(result.records_on_disk, result.records_total)
             << mode.name;
         EXPECT_GE(result.evictions, 1u) << mode.name;
-        EXPECT_GE(result.checkpoints_written, 1u) << mode.name;
-        EXPECT_GE(result.store_compactions, 1u) << mode.name;
+        EXPECT_GE(result.checkpoints, 1u) << mode.name;
+        EXPECT_GE(result.truncations, 1u) << mode.name;
+        EXPECT_GE(result.compactions, 1u) << mode.name;
         EXPECT_TRUE(result.summary.from_store) << mode.name;
       } else {
-        EXPECT_TRUE(result.crash_fired)
+        EXPECT_TRUE(result.fault_fired)
             << mode.name << ": point '" << point
             << "' never reached — the sweep lost coverage (evictions "
-            << result.evictions << ", checkpoints "
-            << result.checkpoints_written << ", compactions "
-            << result.store_compactions << ")";
+            << result.evictions << ", checkpoints " << result.checkpoints
+            << ", compactions " << result.compactions << ")";
       }
     }
   }
 }
 
 // The ack-durability contract at the store boundary, swept across crash
-// points AND maintenance cadences: whatever the store loses, every record
-// whose journal sync completed must survive restart (0 acked-but-lost).
+// points AND maintenance cadences: whatever the store loses, every commit
+// that was acknowledged must survive restart (0 acked-but-lost), and none
+// was acknowledged beyond the durable watermark.
 TEST(StoreCrashTest, NoAckedRecordLostAcrossCadences) {
-  for (const size_t checkpoint_every : {5u, 17u}) {
+  for (const size_t maintenance_every : {5u, 17u}) {
     for (const std::string point :
          {"store.after_batch", "store.compact.before_unlink"}) {
-      StoreCrashOptions options;
+      CrashScenarioOptions options;
       options.driver.threads = 2;
       options.driver.txns_per_thread = 30;
       options.driver.seed = 29;
+      options.max_segment_bytes = 512;
+      options.store = true;
       options.store_segment_bytes = 256;
-      options.checkpoint_every = checkpoint_every;
-      options.evict_every = 2;
-      options.crash_point = point;
-      const StoreCrashResult result = RunStoreCrashScenario(
+      options.maintenance_every = maintenance_every;
+      options.fault = CrashFault::AtPoint(point);
+      const CrashScenarioResult result = RunCrashScenario(
           StoreSweepUipFactory, StoreSweepBody(), options);
       ASSERT_TRUE(result.ok())
-          << point << " every " << checkpoint_every << ": "
-          << result.status.ToString();
-      EXPECT_LE(result.acked_records, result.records_appended);
-      EXPECT_TRUE(result.recovered_all_appended);
+          << point << " every " << maintenance_every << ": "
+          << result.status.ToString() << ", acked_lost " << result.acked_lost
+          << ", prefix_ok " << result.prefix_ok;
+      EXPECT_EQ(result.acked_lost, 0u);
+      EXPECT_EQ(result.acked_beyond_watermark, 0u);
+      EXPECT_TRUE(result.prefix_ok);
+      EXPECT_LE(result.durable_lsn, result.summary.high_lsn);
     }
   }
 }

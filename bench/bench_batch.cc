@@ -5,8 +5,8 @@
 // B mutex acquisitions) or as one ExecuteBatch call (one directory pass,
 // one canonical-order lock sweep). Either way its commit journals ONE
 // multi-object commit record and waits on the durable-LSN watermark once.
-// This bench sweeps batch size x worker threads over a file-backed journal
-// in kGroup mode and reports the speedup of the batched path over the
+// This bench sweeps batch size x worker threads over a kGroup journal
+// directory and reports the speedup of the batched path over the
 // loose baseline for the same transaction shape: the saved directory
 // passes and mutex acquisitions (EXPERIMENTS.md PERF-BATCH).
 //
@@ -30,22 +30,19 @@
 #include "bench_util.h"
 #include "common/random.h"
 #include "common/string_util.h"
-#include "common/temp_path.h"
 #include "sim/crash_harness.h"
 #include "sim/driver.h"
 #include "txn/group_commit.h"
-#include "txn/journal_io.h"
 #include "txn/txn_manager.h"
 
 namespace ccr {
 namespace {
 
 using bench::AddCounterBank;
+using bench::CounterBankEngine;
 using bench::EngineConfig;
 
 constexpr int kKeys = 256;
-
-std::string TempWalPath() { return TempDirRoot() + "/ccr_bench_batch.wal"; }
 
 // B distinct keys per transaction: a random window of consecutive ids in
 // the bank (mod kKeys), so concurrent transactions overlap and contend.
@@ -62,42 +59,6 @@ std::vector<BatchOp> MakeBatch(
   return ops;
 }
 
-// A fresh engine over a file-backed journal in kGroup mode. Owns the
-// moving parts so a cell tears down cleanly (pipeline drained before the
-// journal/writer/sink die).
-struct FileJournalSystem {
-  static TxnManagerOptions ManagerOptions() {
-    TxnManagerOptions options;
-    options.record_history = false;  // perf run: no verification oracle
-    return options;
-  }
-
-  explicit FileJournalSystem(const std::string& path)
-      : manager(ManagerOptions()) {
-    std::remove(path.c_str());
-    auto opened = FileSink::Open(path);
-    CCR_CHECK(opened.ok());
-    sink = std::move(*opened);
-    writer = std::make_unique<JournalWriter>(sink.get());
-    pipeline = std::make_unique<GroupCommitPipeline>(
-        writer.get(), GroupCommitOptions{DurabilityMode::kGroup});
-    journal.set_pipeline(pipeline.get());
-    counters = AddCounterBank(&manager, EngineConfig::kUipNrbc, kKeys);
-    for (AtomicObject* obj : manager.objects()) {
-      obj->recovery().set_journal(&journal);
-    }
-    manager.set_commit_pipeline(pipeline.get());
-  }
-  ~FileJournalSystem() { pipeline->Drain(); }
-
-  std::unique_ptr<FileSink> sink;
-  std::unique_ptr<JournalWriter> writer;
-  std::unique_ptr<GroupCommitPipeline> pipeline;
-  Journal journal;
-  TxnManager manager;
-  std::vector<std::shared_ptr<Counter>> counters;
-};
-
 struct CellResult {
   double txn_per_sec = 0;
   uint64_t records = 0;  // journal records the run produced
@@ -106,7 +67,8 @@ struct CellResult {
 
 CellResult RunCellOnce(int threads, int txns_per_thread, int batch,
                        bool batched) {
-  FileJournalSystem sys(TempWalPath());
+  CounterBankEngine sys(EngineConfig::kUipNrbc, kKeys,
+                        DurabilityMode::kGroup);
   auto* counters = &sys.counters;
   const TxnBody body = [counters, batch, batched](
                            TxnManager* m, Transaction* txn,
@@ -124,10 +86,11 @@ CellResult RunCellOnce(int threads, int txns_per_thread, int batch,
   DriverOptions options;
   options.threads = threads;
   options.txns_per_thread = txns_per_thread;
-  const DriverResult result = RunWorkload(&sys.manager, body, options);
-  sys.pipeline->Drain();
-  return CellResult{result.throughput, sys.journal.size(),
-                    sys.pipeline->stats().syncs};
+  const DriverResult result =
+      RunWorkload(sys.engine->manager(), body, options);
+  sys.engine->pipeline()->Drain();
+  return CellResult{result.throughput, sys.engine->journal()->size(),
+                    sys.engine->pipeline()->stats().syncs};
 }
 
 // Median of three runs: fdatasync latency on a shared host is noisy, and
@@ -147,8 +110,8 @@ CellResult RunCell(int threads, int txns_per_thread, int batch,
 
 void BenchSweep() {
   std::printf(
-      "scenario: PERF-BATCH — B-key transactions through a file-backed\n"
-      "kGroup journal; `loose` runs B Executes, `batched` one ExecuteBatch;\n"
+      "scenario: PERF-BATCH — B-key transactions through a kGroup\n"
+      "journal directory; `loose` runs B Executes, `batched` one ExecuteBatch;\n"
       "both journal ONE multi-object record per commit and wait on the\n"
       "watermark once. %d-counter bank, UIP+NRBC.\n\n",
       kKeys);

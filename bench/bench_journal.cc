@@ -17,13 +17,13 @@
 //     rejected. Reports counts over a sweep of injected faults.
 //
 //  4. group commit (PERF-GC) — the end-to-end experiment: a contended
-//     multithreaded workload committing through a file-backed journal in
-//     each DurabilityMode. kSync pays a per-record fdatasync inside the
-//     object critical section; kGroup sequences under the lock and batches
-//     the sync on the flusher (early lock release); kRelaxed acknowledges
-//     before durability. Reports commit throughput, ack latency, batch
-//     shape, and sync counts — plus a crash sweep asserting that in every
-//     mode no acknowledged commit is ever lost.
+//     multithreaded workload committing through a journal directory
+//     (Engine::Open) in each DurabilityMode. kSync pays a per-record
+//     fdatasync inside the object critical section; kGroup sequences under
+//     the lock and batches the sync on the flusher (early lock release);
+//     kRelaxed acknowledges before durability. Reports commit throughput,
+//     ack latency, batch shape, and sync counts — plus a crash sweep
+//     asserting that in every mode no acknowledged commit is ever lost.
 //
 //  5. restart (PERF-RESTART) — checkpoint-aware restart cost. A segmented
 //     journal directory is grown 10x in total history with a fuzzy
@@ -43,10 +43,6 @@
 #include <functional>
 #include <set>
 #include <thread>
-
-#ifndef _WIN32
-#include <unistd.h>
-#endif
 
 #include "adt/bank_account.h"
 #include "adt/int_set.h"
@@ -303,13 +299,13 @@ const char* ModeName(DurabilityMode mode) {
 }
 
 // PERF-GC: end-to-end group commit. One contended bank account, 32 worker
-// threads, every commit durable through a file-backed journal. (The ideal
+// threads, every commit durable through a journal directory. (The ideal
 // kGroup speedup is one batch of W committers per sync vs W serialized
 // syncs, so it scales with the worker count.)
 void BenchGroupCommit() {
   std::printf(
       "scenario: group commit (PERF-GC) — 32 workers committing through a\n"
-      "file-backed journal; kSync pays fdatasync per record inside the\n"
+      "journal directory; kSync pays fdatasync per record inside the\n"
       "object critical section, kGroup batches it behind early lock\n"
       "release, kRelaxed acks before durability\n");
   TablePrinter table({"mode", "txn/s", "ack p50", "ack p99", "batches",
@@ -317,36 +313,28 @@ void BenchGroupCommit() {
   for (const DurabilityMode mode :
        {DurabilityMode::kSync, DurabilityMode::kGroup,
         DurabilityMode::kRelaxed}) {
-    const std::string path = TempWalPath();
-    std::remove(path.c_str());
-    auto sink = FileSink::Open(path);
-    CCR_CHECK(sink.ok());
-    JournalWriter writer(sink->get());
-    GroupCommitOptions gc;
-    gc.mode = mode;
-    GroupCommitPipeline pipeline(&writer, gc);
-    Journal journal;
-    journal.set_pipeline(&pipeline);
-
     auto ba = MakeBankAccount();
-    TxnManager manager;
-    manager.AddObject("BA", ba, MakeNrbcConflict(ba),
-                      std::make_unique<UipRecovery>(ba));
-    manager.object("BA")->recovery().set_journal(&journal);
-    manager.set_commit_pipeline(&pipeline);
+    const TempDir dir("ccr_bench_gc_");
+    EngineOptions engine_options;
+    engine_options.group_commit.mode = mode;
+    const std::unique_ptr<Engine> engine = bench::OpenEngine(
+        dir.path(), std::move(engine_options), [ba](TxnManager* manager) {
+          manager->AddObject("BA", ba, MakeNrbcConflict(ba),
+                             std::make_unique<UipRecovery>(ba));
+        });
 
     DriverOptions options;
     options.threads = 32;
     options.txns_per_thread = 150;
     const DriverResult result = RunWorkload(
-        &manager,
+        engine->manager(),
         [ba](TxnManager* m, Transaction* txn, Random* rng) -> Status {
           const StatusOr<Value> r =
               m->Execute(txn, ba->DepositInv(rng->UniformRange(1, 99)));
           return r.ok() ? Status::OK() : r.status();
         },
         options);
-    pipeline.Drain();
+    engine->pipeline()->Drain();
 
     table.AddRow({ModeName(mode), StrFormat("%.0f", result.throughput),
                   StrFormat("%lluus",
@@ -358,7 +346,6 @@ void BenchGroupCommit() {
                   StrFormat("%.1f", result.gc_records_per_batch),
                   StrFormat("%llu",
                             static_cast<unsigned long long>(result.gc_syncs))});
-    std::remove(path.c_str());
   }
   std::printf("%s\n", table.ToString().c_str());
 }
@@ -458,21 +445,6 @@ std::vector<Journal::CommitRecord> MakeMultiObjectRecords(size_t n) {
     records.push_back({static_cast<TxnId>(i + 1), std::move(ops)});
   }
   return records;
-}
-
-std::string MakeRestartTempDir() {
-  std::string dir = MakeTempDir("ccr_bench_restart_");
-  CCR_CHECK(!dir.empty());
-  return dir;
-}
-
-void RemoveRestartTempDir(const std::string& dir) {
-  if (auto names = ListDir(dir); names.ok()) {
-    for (const std::string& name : *names) {
-      std::remove((dir + "/" + name).c_str());
-    }
-  }
-  ::rmdir(dir.c_str());
 }
 
 // Replays one ground-truth record into the replica (grouped per object) so
@@ -639,12 +611,13 @@ void BenchRestart(bool smoke) {
     const auto records = MakeMultiObjectRecords(n);
     const auto audit = BalanceAudit(records);
     {
-      const std::string dir = MakeRestartTempDir();
-      BuildRestartDir(dir, records, n - tail, RestartFactory);
+      const TempDir dir("ccr_bench_restart_");
+      BuildRestartDir(dir.path(), records, n - tail, RestartFactory);
       for (const int threads : {1, 4}) {
         RestartSummary summary;
-        const double seconds = TimedRestart(dir, threads, records.size(),
-                                            RestartFactory, audit, &summary);
+        const double seconds =
+            TimedRestart(dir.path(), threads, records.size(), RestartFactory,
+                         audit, &summary);
         CCR_CHECK(summary.checkpoint_anchor == n - tail);
         table.AddRow(
             {StrFormat("%zu", n), "yes", StrFormat("%zu", summary.tail_records),
@@ -654,13 +627,12 @@ void BenchRestart(bool smoke) {
                            ? static_cast<double>(summary.tail_records) / seconds
                            : 0)});
       }
-      RemoveRestartTempDir(dir);
     }
     {
-      const std::string dir = MakeRestartTempDir();
-      BuildRestartDir(dir, records, 0, RestartFactory);
+      const TempDir dir("ccr_bench_restart_");
+      BuildRestartDir(dir.path(), records, 0, RestartFactory);
       RestartSummary summary;
-      const double seconds = TimedRestart(dir, 1, records.size(),
+      const double seconds = TimedRestart(dir.path(), 1, records.size(),
                                           RestartFactory, audit, &summary);
       CCR_CHECK(summary.checkpoint_anchor == 0);
       table.AddRow({StrFormat("%zu", n), "no",
@@ -680,12 +652,13 @@ void BenchRestart(bool smoke) {
     const size_t n = smoke ? 2000 : 16000;
     const auto records = MakeSetRecords(n);
     const auto audit = SetAudit(records);
-    const std::string dir = MakeRestartTempDir();
-    BuildRestartDir(dir, records, n / 2, RestartSetFactory);
+    const TempDir dir("ccr_bench_restart_");
+    BuildRestartDir(dir.path(), records, n / 2, RestartSetFactory);
     for (const int threads : {1, 4}) {
       RestartSummary summary;
-      const double seconds = TimedRestart(dir, threads, records.size(),
-                                          RestartSetFactory, audit, &summary);
+      const double seconds =
+          TimedRestart(dir.path(), threads, records.size(), RestartSetFactory,
+                       audit, &summary);
       table.AddRow({StrFormat("%zu (set)", n), "yes",
                     StrFormat("%zu", summary.tail_records),
                     StrFormat("%d", threads),
@@ -696,7 +669,6 @@ void BenchRestart(bool smoke) {
                                         seconds
                                   : 0)});
     }
-    RemoveRestartTempDir(dir);
   }
   std::printf("%s\n", table.ToString().c_str());
 }

@@ -4,7 +4,7 @@
 //
 // 1. CLOSED-LOOP ACCEPTANCE — what does boundary batching buy? 32
 //    concurrent clients each keep one 4-key transaction in flight against
-//    a file-backed kGroup journal. The `direct` arm is the pre-PR-10
+//    a kGroup journal directory. The `direct` arm is the pre-PR-10
 //    serving model: every client thread runs its own
 //    Begin/ExecuteBatch/Commit and parks in WaitDurable — group commit
 //    already merges their syncs, but each client still pays its own
@@ -54,26 +54,23 @@
 #include "bench_util.h"
 #include "common/random.h"
 #include "common/string_util.h"
-#include "common/temp_path.h"
 #include "serve/frontend.h"
 #include "sim/crash_harness.h"
 #include "sim/driver.h"
 #include "sim/open_loop.h"
 #include "txn/group_commit.h"
-#include "txn/journal_io.h"
 #include "txn/txn_manager.h"
 
 namespace ccr {
 namespace {
 
 using bench::AddCounterBank;
+using bench::CounterBankEngine;
 using bench::EngineConfig;
 using bench::EngineConfigName;
 
 constexpr int kKeys = 256;
 constexpr int kOpsPerRequest = 4;
-
-std::string TempWalPath() { return TempDirRoot() + "/ccr_bench_serve.wal"; }
 
 const char* ModeName(DurabilityMode mode) {
   switch (mode) {
@@ -105,42 +102,6 @@ std::vector<BatchOp> MakeRequest(
   return ops;
 }
 
-// A fresh engine over a file-backed journal. Owns the moving parts so a
-// cell tears down cleanly (front end before pipeline before sink).
-struct ServeSystem {
-  static TxnManagerOptions ManagerOptions() {
-    TxnManagerOptions options;
-    options.record_history = false;  // perf run: no verification oracle
-    return options;
-  }
-
-  ServeSystem(const std::string& path, EngineConfig config,
-              DurabilityMode mode)
-      : manager(ManagerOptions()) {
-    std::remove(path.c_str());
-    auto opened = FileSink::Open(path);
-    CCR_CHECK(opened.ok());
-    sink = std::move(*opened);
-    writer = std::make_unique<JournalWriter>(sink.get());
-    pipeline = std::make_unique<GroupCommitPipeline>(
-        writer.get(), GroupCommitOptions{mode});
-    journal.set_pipeline(pipeline.get());
-    counters = AddCounterBank(&manager, config, kKeys);
-    for (AtomicObject* obj : manager.objects()) {
-      obj->recovery().set_journal(&journal);
-    }
-    manager.set_commit_pipeline(pipeline.get());
-  }
-  ~ServeSystem() { pipeline->Drain(); }
-
-  std::unique_ptr<FileSink> sink;
-  std::unique_ptr<JournalWriter> writer;
-  std::unique_ptr<GroupCommitPipeline> pipeline;
-  Journal journal;
-  TxnManager manager;
-  std::vector<std::shared_ptr<Counter>> counters;
-};
-
 struct CellResult {
   double txn_per_sec = 0;
   uint64_t ok = 0;
@@ -151,10 +112,10 @@ struct CellResult {
   uint64_t acked_ops = 0;   // per-op results delivered with OK acks
 };
 
-void FillJournalCounts(ServeSystem* sys, CellResult* cell) {
-  cell->records = sys->journal.size();
-  cell->syncs = sys->pipeline->stats().syncs;
-  for (const Journal::Entry& entry : sys->journal.Entries()) {
+void FillJournalCounts(const Engine& engine, CellResult* cell) {
+  cell->records = engine.journal()->size();
+  cell->syncs = engine.pipeline()->stats().syncs;
+  for (const Journal::Entry& entry : engine.journal()->Entries()) {
     if (!entry.is_lifecycle) cell->journal_ops += entry.commit.ops.size();
   }
 }
@@ -163,7 +124,7 @@ void FillJournalCounts(ServeSystem* sys, CellResult* cell) {
 // WaitDurable for its own commit record.
 CellResult RunDirectCellOnce(int clients, int txns_per_client,
                              DurabilityMode mode, int ops_per_request) {
-  ServeSystem sys(TempWalPath(), EngineConfig::kUipNrbc, mode);
+  CounterBankEngine sys(EngineConfig::kUipNrbc, kKeys, mode);
   auto* counters = &sys.counters;
   const TxnBody body = [counters, ops_per_request](
                            TxnManager* m, Transaction* txn,
@@ -174,12 +135,12 @@ CellResult RunDirectCellOnce(int clients, int txns_per_client,
   DriverOptions options;
   options.threads = clients;
   options.txns_per_thread = txns_per_client;
-  const DriverResult result = RunWorkload(&sys.manager, body, options);
-  sys.pipeline->Drain();
+  const DriverResult result = RunWorkload(sys.engine->manager(), body, options);
+  sys.engine->pipeline()->Drain();
   CellResult cell;
   cell.txn_per_sec = result.throughput;
   cell.ok = result.committed;
-  FillJournalCounts(&sys, &cell);
+  FillJournalCounts(*sys.engine, &cell);
   return cell;
 }
 
@@ -249,10 +210,10 @@ CellResult RunServeCellOnce(int clients, int txns_per_client,
                             DurabilityMode mode,
                             const ServeFrontendOptions& fopts, size_t window,
                             int ops_per_request = kOpsPerRequest) {
-  ServeSystem sys(TempWalPath(), EngineConfig::kUipNrbc, mode);
+  CounterBankEngine sys(EngineConfig::kUipNrbc, kKeys, mode);
   CellResult cell;
   {
-    ServeFrontend frontend(&sys.manager, fopts);
+    ServeFrontend frontend(sys.engine->manager(), fopts);
     // Per-client submission state. Requests are pre-generated outside the
     // timed region — the cell measures the serving path, not the load
     // generator's request formatting. The mutex serializes the client's
@@ -293,8 +254,8 @@ CellResult RunServeCellOnce(int clients, int txns_per_client,
                                    : 0;
     cell.coalesced = frontend.stats().coalesced_txns;
   }
-  sys.pipeline->Drain();
-  FillJournalCounts(&sys, &cell);
+  sys.engine->pipeline()->Drain();
+  FillJournalCounts(*sys.engine, &cell);
   return cell;
 }
 
@@ -318,7 +279,7 @@ void BenchClosedLoop() {
       "scenario: PERF-SERVE (closed loop) — N async clients, each keeping\n"
       "a window of %d submissions outstanding and launching replacements\n"
       "from the completion callback (the async API's point: no thread\n"
-      "parked per request), file-backed journal. Requests are `ops`\n"
+      "parked per request), journal directory. Requests are `ops`\n"
       "increments on a random counter window: 1 op is the canonical\n"
       "point-update serving request (per-record costs dominate, which is\n"
       "what boundary batching amortizes); 4 ops shifts weight toward\n"
@@ -407,10 +368,10 @@ struct SweepPoint {
 
 OpenLoopResult RunOpenLoopPoint(EngineConfig config, DurabilityMode mode,
                                 double offered_rps, size_t requests) {
-  ServeSystem sys(TempWalPath(), config, mode);
+  CounterBankEngine sys(config, kKeys, mode);
   ServeFrontendOptions fopts;
   fopts.queue_depth = 512;  // the admission bound the shed column probes
-  ServeFrontend frontend(&sys.manager, fopts);
+  ServeFrontend frontend(sys.engine->manager(), fopts);
   OpenLoopOptions options;
   options.offered_rps = offered_rps;
   options.requests = requests;
@@ -432,7 +393,7 @@ void BenchOpenLoop() {
   std::printf(
       "scenario: PERF-SERVE (open loop) — Poisson arrivals at the offered\n"
       "rate, latency measured from INTENDED arrival (coordinated-omission\n"
-      "free), 4-key requests, file-backed journal, queue_depth=512. Shed\n"
+      "free), 4-key requests, journal directory, queue_depth=512. Shed\n"
       "requests are refused with ResourceExhausted, not retried. The knee\n"
       "is the highest offered load with p99 <= %llu us and 0 shed.\n\n",
       static_cast<unsigned long long>(kSloP99Us));
@@ -562,13 +523,13 @@ int RunSmoke() {
   //    draining, queue_depth admissions succeed and the rest shed; every
   //    accounted submission then completes once a pump drains the queue.
   {
-    ServeSystem sys(TempWalPath(), EngineConfig::kUipNrbc,
-                    DurabilityMode::kGroup);
+    CounterBankEngine sys(EngineConfig::kUipNrbc, kKeys,
+                          DurabilityMode::kGroup);
     ServeFrontendOptions popts;
     popts.workers = 0;
     popts.queue_depth = 16;
     popts.max_group = 8;  // same TSan held-lock bound as the cell above
-    ServeFrontend frontend(&sys.manager, popts);
+    ServeFrontend frontend(sys.engine->manager(), popts);
     Random rng(7);
     uint64_t admitted = 0;
     uint64_t shed = 0;

@@ -42,10 +42,6 @@
 #include <thread>
 #include <vector>
 
-#ifndef _WIN32
-#include <unistd.h>
-#endif
-
 #include "adt/counter.h"
 #include "bench_util.h"
 #include "common/random.h"
@@ -78,21 +74,6 @@ Invocation ReadInv(const std::string& id) {
   return Invocation(id, Counter::kRead, "read", {});
 }
 
-std::string MakeStoreTempDir() {
-  std::string dir = MakeTempDir("ccr_bench_store_");
-  CCR_CHECK(!dir.empty());
-  return dir;
-}
-
-void RemoveStoreTempDir(const std::string& dir) {
-  if (auto names = ListDir(dir); names.ok()) {
-    for (const std::string& name : *names) {
-      std::remove((dir + "/" + name).c_str());
-    }
-  }
-  ::rmdir(dir.c_str());
-}
-
 // ---------------------------------------------------------------------------
 // Scenario 1: eviction sweep — population > cache
 // ---------------------------------------------------------------------------
@@ -102,10 +83,10 @@ void RemoveStoreTempDir(const std::string& dir) {
 // CCR_CHECK failure if any increment is lost.
 void RunEvictionArm(TablePrinter* table, size_t population, size_t cache,
                     int threads, size_t ops_per_thread) {
-  const std::string dir = MakeStoreTempDir();
+  const TempDir dir("ccr_bench_store_");
   {
     StatusOr<std::unique_ptr<LogStructuredStore>> store =
-        LogStructuredStore::Open(dir);
+        LogStructuredStore::Open(dir.path());
     CCR_CHECK(store.ok());
 
     TxnManagerOptions options;
@@ -189,7 +170,6 @@ void RunEvictionArm(TablePrinter* table, size_t population, size_t cache,
          StrFormat("%llu",
                    static_cast<unsigned long long>(after.compactions))});
   }
-  RemoveStoreTempDir(dir);
 }
 
 void BenchEvictionSweep(bool smoke) {
@@ -221,23 +201,16 @@ void BenchEvictionSweep(bool smoke) {
 // a short tail touching only the first `tail_touch` objects.
 void BuildRestartWorld(const std::string& dir, size_t population,
                        size_t tail_touch, Lsn* anchor, Lsn* high_lsn) {
-  StatusOr<std::unique_ptr<LogStructuredStore>> store =
-      LogStructuredStore::Open(dir);
-  CCR_CHECK(store.ok());
-  TxnManager manager;
-  bench::RegisterCounterFactory(&manager, bench::EngineConfig::kUipNrbc);
-  manager.set_object_store(store->get());
-  SegmentedSinkOptions sink_options;
-  sink_options.max_segment_bytes = 1 << 16;
-  StatusOr<std::unique_ptr<SegmentedFileSink>> sink =
-      SegmentedFileSink::Open(dir, 1, sink_options);
-  CCR_CHECK(sink.ok());
-  JournalWriter writer(sink->get());
-  GroupCommitPipeline pipeline(&writer,
-                               GroupCommitOptions{DurabilityMode::kSync});
-  Journal journal;
-  journal.set_pipeline(&pipeline);
-  manager.set_lifecycle_journal(&journal);
+  EngineOptions options;
+  options.group_commit.mode = DurabilityMode::kSync;
+  options.journal.max_segment_bytes = 1 << 16;
+  options.store = LogStoreOptions{};
+  options.checkpoint.also_write_file = true;
+  const std::unique_ptr<Engine> engine =
+      bench::OpenEngine(dir, std::move(options), [](TxnManager* manager) {
+        bench::RegisterCounterFactory(manager, bench::EngineConfig::kUipNrbc);
+      });
+  TxnManager& manager = *engine->manager();
 
   const auto inc = [&](size_t i, int64_t amount) {
     CCR_CHECK(manager
@@ -252,17 +225,12 @@ void BuildRestartWorld(const std::string& dir, size_t population,
   };
   for (size_t i = 0; i < population; ++i) inc(i, 1);
 
-  CheckpointerOptions ckpt_options;
-  ckpt_options.store = store->get();
-  ckpt_options.also_write_file = true;
-  Checkpointer checkpointer(dir, ckpt_options);
-  *anchor = journal.high_lsn();
-  StatusOr<Lsn> written = checkpointer.Write(&manager, *anchor);
+  const StatusOr<Lsn> written = engine->Checkpoint();
   CCR_CHECK_MSG(written.ok(), "checkpoint failed: %s",
                 written.status().ToString().c_str());
-  CCR_CHECK((*sink)->TruncateBelow(*anchor).ok());
+  *anchor = *written;
   for (size_t i = 0; i < tail_touch; ++i) inc(i, 1);
-  *high_lsn = journal.high_lsn();
+  *high_lsn = engine->journal()->high_lsn();
 }
 
 void BenchRestartComparison(bool smoke) {
@@ -274,10 +242,10 @@ void BenchRestartComparison(bool smoke) {
       "checkpoint file, and with lazy store install\n",
       population, tail_touch);
 
-  const std::string dir = MakeStoreTempDir();
+  const TempDir dir("ccr_bench_store_");
   Lsn anchor = 0;
   Lsn high_lsn = 0;
-  BuildRestartWorld(dir, population, tail_touch, &anchor, &high_lsn);
+  BuildRestartWorld(dir.path(), population, tail_touch, &anchor, &high_lsn);
 
   TablePrinter table({"arm", "restart ms", "installed", "deferred",
                       "tail records", "from store"});
@@ -300,7 +268,7 @@ void BenchRestartComparison(bool smoke) {
       const auto start = std::chrono::steady_clock::now();
       if (arm.attach_store) {
         StatusOr<std::unique_ptr<LogStructuredStore>> opened =
-            LogStructuredStore::Open(dir);
+            LogStructuredStore::Open(dir.path());
         CCR_CHECK(opened.ok());
         store = std::move(*opened);
         restarted.set_object_store(store.get());
@@ -308,7 +276,7 @@ void BenchRestartComparison(bool smoke) {
       RestartOptions options;
       options.lazy_store_install = arm.lazy;
       StatusOr<RestartSummary> result =
-          restarted.RestartFromDir(dir, options);
+          restarted.RestartFromDir(dir.path(), options);
       const double secs = Seconds(start);
       CCR_CHECK_MSG(result.ok(), "restart (%s) failed: %s", arm.name,
                     result.status().ToString().c_str());
@@ -346,7 +314,6 @@ void BenchRestartComparison(bool smoke) {
                     summary.store_deferred, population);
     }
   }
-  RemoveStoreTempDir(dir);
   std::printf("%s\n", table.ToString().c_str());
 }
 

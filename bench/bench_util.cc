@@ -2,6 +2,7 @@
 
 #include "bench_util.h"
 
+#include "common/macros.h"
 #include "common/string_util.h"
 
 namespace ccr {
@@ -19,6 +20,28 @@ std::string AggregatedTable::ToString(const std::string& marker) const {
     printer.AddRow(std::move(row));
   }
   return printer.ToString();
+}
+
+std::unique_ptr<Engine> OpenEngine(const std::string& dir,
+                                   EngineOptions options,
+                                   const SystemFactory& factory) {
+  StatusOr<std::unique_ptr<Engine>> engine =
+      Engine::Open(dir, std::move(options), factory);
+  CCR_CHECK_MSG(engine.ok(), "open %s: %s", dir.c_str(),
+                engine.status().ToString().c_str());
+  return std::move(*engine);
+}
+
+CounterBankEngine::CounterBankEngine(EngineConfig config, int keys,
+                                     DurabilityMode mode)
+    : dir("ccr_bench_") {
+  EngineOptions options;
+  options.manager.record_history = false;
+  options.group_commit.mode = mode;
+  engine = OpenEngine(dir.path(), std::move(options),
+                      [&](TxnManager* manager) {
+                        counters = AddCounterBank(manager, config, keys);
+                      });
 }
 
 std::string DirectoryStatsLine(const DirectoryStats& stats) {

@@ -16,8 +16,10 @@
 
 #include "adt/bank_account.h"
 #include "adt/counter.h"
+#include "common/temp_path.h"
 #include "core/commutativity.h"
 #include "core/conflict_relation.h"
+#include "engine/engine.h"
 #include "txn/du_recovery.h"
 #include "txn/txn_manager.h"
 #include "txn/uip_recovery.h"
@@ -118,6 +120,23 @@ inline std::vector<std::shared_ptr<Counter>> AddCounterBank(
   }
   return counters;
 }
+
+// Engine::Open over `dir`; a bench stops on a failed open.
+std::unique_ptr<Engine> OpenEngine(const std::string& dir,
+                                   EngineOptions options,
+                                   const SystemFactory& factory);
+
+// A fresh durable engine over a bank of `keys` counters (AddCounterBank),
+// committing through a `mode` pipeline into a temp journal directory that
+// outlives it. History recording is off: a perf run needs no verification
+// oracle.
+struct CounterBankEngine {
+  CounterBankEngine(EngineConfig config, int keys, DurabilityMode mode);
+
+  TempDir dir;
+  std::vector<std::shared_ptr<Counter>> counters;
+  std::unique_ptr<Engine> engine;
+};
 
 // One-line human-readable rendering of the directory's stats counters.
 std::string DirectoryStatsLine(const DirectoryStats& stats);

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # One-command gate: build + full tier-1 test suite, then the crash-recovery
-# suite (ctest label `crash`) under AddressSanitizer and ThreadSanitizer.
+# suite (ctest label `crash`: journal frames, group-commit fail-stop,
+# Engine::Open's restart and resume, the live crash driver) under
+# AddressSanitizer and ThreadSanitizer.
 #
 #   scripts/check.sh           # everything
 #   scripts/check.sh --fast    # tier-1 only (skip sanitizer builds)
@@ -54,7 +56,7 @@ if [[ "${FAST}" == 1 ]]; then
 fi
 
 for san in asan tsan; do
-  echo "==> crash suite under ${san} (ctest -L crash)"
+  echo "==> crash suite under ${san} (ctest -L crash: journal, Engine::Open generations, live crash driver)"
   cmake --preset "${san}"
   cmake --build --preset "${san}" -j "${JOBS}"
   ctest --preset "crash-${san}" -j "${JOBS}"

@@ -3,7 +3,11 @@
 #include "common/temp_path.h"
 
 #include <cstdlib>
+#include <filesystem>
+#include <system_error>
 #include <vector>
+
+#include "common/macros.h"
 
 #ifndef _WIN32
 #include <unistd.h>
@@ -27,6 +31,16 @@ std::string MakeTempDir(std::string_view prefix) {
   if (::mkdtemp(buf.data()) != nullptr) return std::string(buf.data());
 #endif
   return std::string();
+}
+
+TempDir::TempDir(std::string_view prefix) : path_(MakeTempDir(prefix)) {
+  CCR_CHECK_MSG(!path_.empty(), "cannot create a temp dir under %s",
+                TempDirRoot().c_str());
+}
+
+TempDir::~TempDir() {
+  std::error_code ignored;
+  std::filesystem::remove_all(path_, ignored);
 }
 
 }  // namespace ccr

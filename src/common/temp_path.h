@@ -21,6 +21,22 @@ std::string TempDirRoot();
 // returns its path; empty string on failure. The caller owns cleanup.
 std::string MakeTempDir(std::string_view prefix);
 
+// A MakeTempDir directory that is removed, with everything in it, when the
+// TempDir goes out of scope. Aborts if the directory cannot be created.
+class TempDir {
+ public:
+  explicit TempDir(std::string_view prefix = "ccr_");
+  ~TempDir();
+
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
 }  // namespace ccr
 
 #endif  // CCR_COMMON_TEMP_PATH_H_

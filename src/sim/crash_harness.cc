@@ -6,7 +6,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstring>
-#include <filesystem>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -14,8 +13,6 @@
 
 #include "common/string_util.h"
 #include "common/temp_path.h"
-#include "store/log_store.h"
-#include "txn/checkpoint.h"
 #include "txn/journal_format.h"
 
 namespace ccr {
@@ -148,10 +145,6 @@ class Scenario {
  public:
   Scenario(const SystemFactory& factory, const CrashScenarioOptions& options)
       : factory_(factory), options_(options) {}
-  ~Scenario() {
-    std::error_code ignored;
-    if (!dir_.empty()) std::filesystem::remove_all(dir_, ignored);
-  }
 
   CrashScenarioResult Run(const TxnBody* body,
                           const RequestFactory* make_request);
@@ -160,7 +153,9 @@ class Scenario {
   // Records `s` as the scenario's error unless the fault explains it (the
   // machine is dead or the pipeline fail-stopped).
   void Note(const Status& s) {
-    if (s.ok() || crash_.dead() || !pipeline_->status().ok()) return;
+    if (s.ok() || crash_.dead() || !engine_->pipeline()->status().ok()) {
+      return;
+    }
     std::lock_guard<std::mutex> lock(mu_);
     if (result_.status.ok()) result_.status = s;
   }
@@ -202,17 +197,13 @@ class Scenario {
   const CrashScenarioOptions& options_;
   CrashScenarioResult result_;
   // The machine's disk: journal segments, checkpoints and the store.
-  const std::string dir_ = MakeTempDir("ccr_crash_");
+  const TempDir dir_{"ccr_crash_"};
   CrashPoints crash_;
-  std::unique_ptr<SegmentedFileSink> journal_disk_;
-  std::unique_ptr<LogStructuredStore> store_;
-  std::unique_ptr<FaultySink> disk_;
+  std::unique_ptr<FaultySink> disk_;  // laid over the engine's journal sink
   bool serving_ = false;
   // The live engine, valid during the run.
+  Engine* engine_ = nullptr;
   TxnManager* manager_ = nullptr;
-  Journal* journal_ = nullptr;
-  GroupCommitPipeline* pipeline_ = nullptr;
-  Checkpointer* checkpointer_ = nullptr;
   size_t evict_cursor_ = 0;
 
   std::mutex mu_;  // guards everything below and result_.status
@@ -226,67 +217,41 @@ class Scenario {
 
 CrashScenarioResult Scenario::Run(const TxnBody* body,
                                   const RequestFactory* make_request) {
-  if (dir_.empty()) {
-    result_.status = Status::Internal("cannot create scenario temp dir");
-    return result_;
-  }
-  SegmentedSinkOptions sink_options;
-  sink_options.max_segment_bytes = options_.max_segment_bytes;
-  sink_options.crash = &crash_;
-  StatusOr<std::unique_ptr<SegmentedFileSink>> sink =
-      SegmentedFileSink::Open(dir_, 1, sink_options);
-  if (!sink.ok()) {
-    result_.status = sink.status();
-    return result_;
-  }
-  journal_disk_ = std::move(*sink);
+  EngineOptions engine_options;
+  engine_options.group_commit = options_.group_commit;
+  engine_options.journal.max_segment_bytes = options_.max_segment_bytes;
+  engine_options.journal.crash = &crash_;
   if (options_.store) {
-    LogStoreOptions store_options;
-    store_options.max_segment_bytes = options_.store_segment_bytes;
-    store_options.crash = &crash_;
-    StatusOr<std::unique_ptr<LogStructuredStore>> store =
-        LogStructuredStore::Open(dir_, store_options);
-    if (!store.ok()) {
-      result_.status = store.status();
-      return result_;
-    }
-    store_ = std::move(*store);
+    engine_options.store = LogStoreOptions{};
+    engine_options.store->max_segment_bytes = options_.store_segment_bytes;
+    engine_options.store->crash = &crash_;
   }
-  disk_ = std::make_unique<FaultySink>(journal_disk_.get(), &crash_,
-                                       options_.fault, options_.driver.seed);
-  // Armed only now: the initial segment creations above belong to setup
-  // (the sink's and the store's Open bypass crash points), so rotation
-  // points fire at the first mid-run rotation instead.
-  if (options_.fault.kind == CrashFault::Kind::kPoint) {
-    crash_.Arm(options_.fault.point);
-  } else if (options_.fault.kind == CrashFault::Kind::kRecord) {
-    crash_.Arm(std::string(kRecordPoint));
-  }
-
+  engine_options.checkpoint.crash = &crash_;
+  engine_options.journal_decorator = [this](ByteSink* journal) {
+    disk_ = std::make_unique<FaultySink>(journal, &crash_, options_.fault,
+                                         options_.driver.seed);
+    return disk_.get();
+  };
   std::vector<Journal::Entry> entries;
   {
     // The live engine. Leaving this scope is the crash: every volatile
-    // structure dies (the manager first, the pipeline after its journal).
-    JournalWriter writer(disk_.get());
-    GroupCommitPipeline pipeline(&writer, options_.group_commit);
-    Journal journal;
-    CheckpointerOptions checkpoint_options;
-    checkpoint_options.crash = &crash_;
-    checkpoint_options.store = store_.get();
-    Checkpointer checkpointer(dir_, checkpoint_options);
-    TxnManager manager;
-    factory_(&manager);
-    journal.set_pipeline(&pipeline);
-    manager.set_commit_pipeline(&pipeline);
-    manager.set_lifecycle_journal(&journal);
-    for (AtomicObject* obj : manager.objects()) {
-      obj->recovery().set_journal(&journal);
+    // structure dies.
+    StatusOr<std::unique_ptr<Engine>> engine =
+        Engine::Open(dir_.path(), std::move(engine_options), factory_);
+    if (!engine.ok()) {
+      result_.status = engine.status();
+      return result_;
     }
-    if (store_ != nullptr) manager.set_object_store(store_.get());
-    manager_ = &manager;
-    journal_ = &journal;
-    pipeline_ = &pipeline;
-    checkpointer_ = &checkpointer;
+    engine_ = engine->get();
+    manager_ = engine_->manager();
+    // Armed only now: the initial segment creations of Open belong to
+    // setup (the sink's and the store's Open bypass crash points), so
+    // rotation points fire at the first mid-run rotation instead.
+    if (options_.fault.kind == CrashFault::Kind::kPoint) {
+      crash_.Arm(options_.fault.point);
+    } else if (options_.fault.kind == CrashFault::Kind::kRecord) {
+      crash_.Arm(std::string(kRecordPoint));
+    }
 
     serving_ = body == nullptr;
     work_ = serving_ ? options_.requests
@@ -305,24 +270,26 @@ CrashScenarioResult Scenario::Run(const TxnBody* body,
     maintenance_cv_.notify_one();
     maintenance.join();
     // Everything sequenced is made durable — or the pipeline fail-stops.
-    pipeline.Drain();
-    result_.durable_lsn = pipeline.durable_lsn();
-    result_.failure = pipeline.status();
+    GroupCommitPipeline* pipeline = engine_->pipeline();
+    pipeline->Drain();
+    result_.durable_lsn = pipeline->durable_lsn();
+    result_.failure = pipeline->status();
     {
       std::lock_guard<std::mutex> lock(mu_);
       result_.acked = acked_;
     }
-    entries = journal.Entries();
-    if (store_ != nullptr) result_.compactions = store_->stats().compactions;
+    entries = engine_->journal()->Entries();
+    if (engine_->store() != nullptr) {
+      result_.compactions = engine_->store()->stats().compactions;
+    }
   }
   result_.records_total = entries.size();
   result_.records_on_disk = disk_->on_disk;
   result_.fault_fired = crash_.fired() || disk_->error_fired;
-  // Closing the disk lets the buffered bytes of the records it wrote reach
-  // the files; its page cache dies unwritten.
+  // The engine closed its journal sink, so the buffered bytes of the
+  // records the disk wrote reached the files; its page cache dies
+  // unwritten.
   disk_.reset();
-  journal_disk_.reset();
-  store_.reset();
   if (result_.status.ok()) Audit(entries);
   return result_;
 }
@@ -344,8 +311,8 @@ void Scenario::MaintenanceLoop() {
 }
 
 void Scenario::MaintenancePass() {
-  if (crash_.dead() || !pipeline_->status().ok()) return;
-  if (store_ != nullptr) {
+  if (crash_.dead() || !engine_->pipeline()->status().ok()) return;
+  if (engine_->store() != nullptr) {
     // Evict one quiescent object, round-robin, so later commits fault
     // evicted objects back in. Busy, raced or dropped objects are skipped.
     const std::vector<AtomicObject*> objects = manager_->objects();
@@ -365,17 +332,12 @@ void Scenario::MaintenancePass() {
       }
     }
   }
-  // The anchor is captured before the checkpoint walk; truncation runs
-  // only below a checkpoint Write returned as durable.
-  const StatusOr<Lsn> written =
-      checkpointer_->Write(manager_, journal_->high_lsn());
+  const size_t segments = engine_->sink()->segment_count();
+  const StatusOr<Lsn> written = engine_->Checkpoint();
   if (!written.ok()) return Note(written.status());
   ++result_.checkpoints;
-  const size_t segments = journal_disk_->segment_count();
-  const Status truncated = journal_disk_->TruncateBelow(*written);
-  if (!truncated.ok()) return Note(truncated);
-  if (journal_disk_->segment_count() < segments) ++result_.truncations;
-  if (store_ != nullptr) Note(store_->CompactNow());
+  if (engine_->sink()->segment_count() < segments) ++result_.truncations;
+  if (engine_->store() != nullptr) Note(engine_->store()->CompactNow());
 }
 
 void Scenario::RunWorkers(const TxnBody& body) {
@@ -440,27 +402,21 @@ void Scenario::RunBurst(const RequestFactory& make_request) {
 }
 
 void Scenario::Audit(const std::vector<Journal::Entry>& entries) {
-  TxnManager restarted;
-  factory_(&restarted);
-  std::unique_ptr<LogStructuredStore> reopened;
-  if (options_.store) {
-    StatusOr<std::unique_ptr<LogStructuredStore>> store =
-        LogStructuredStore::Open(dir_);
-    if (!store.ok()) {
-      result_.status = store.status();
-      return;
-    }
-    reopened = std::move(*store);
-    restarted.set_object_store(reopened.get());
-  }
-  StatusOr<RestartSummary> summary = restarted.RestartFromDir(
-      dir_, RestartOptions{options_.replay_threads});
-  if (!summary.ok()) {
-    result_.status = summary.status();
+  // A fresh engine on the crashed disk: the restart, then the resume
+  // (the journal sink reopened at high_lsn + 1 cuts a torn tail).
+  EngineOptions engine_options;
+  if (options_.store) engine_options.store = LogStoreOptions{};
+  engine_options.restart.replay_threads = options_.replay_threads;
+  StatusOr<std::unique_ptr<Engine>> engine =
+      Engine::Open(dir_.path(), std::move(engine_options), factory_);
+  if (!engine.ok()) {
+    result_.status = engine.status();
     return;
   }
-  result_.summary = *summary;
-  const size_t high = static_cast<size_t>(summary->high_lsn);
+  TxnManager* restarted = (*engine)->manager();
+  const RestartSummary& summary = (*engine)->restart();
+  result_.summary = summary;
+  const size_t high = static_cast<size_t>(summary.high_lsn);
   const size_t prefix = std::min(high, entries.size());
   const size_t durable =
       std::min(static_cast<size_t>(result_.durable_lsn), entries.size());
@@ -473,7 +429,7 @@ void Scenario::Audit(const std::vector<Journal::Entry>& entries) {
   result_.prefix_ok =
       high == result_.records_on_disk && high <= entries.size() &&
       ForEachSegmentedEntry(
-          dir_, summary->checkpoint_anchor,
+          dir_.path(), summary.checkpoint_anchor,
           [&](Lsn lsn, Journal::Entry&& entry) {
             return lsn <= entries.size() &&
                            EncodeEntryPayload(entry) ==
@@ -485,7 +441,7 @@ void Scenario::Audit(const std::vector<Journal::Entry>& entries) {
           .ok();
 
   // Audit 2.
-  result_.state_ok = AuditStateAgainstPrefix(&restarted, entries, prefix);
+  result_.state_ok = AuditStateAgainstPrefix(restarted, entries, prefix);
 
   // Audit 3. Serving acks are counted in ops: coalescing hides which
   // record carried a submission.
@@ -531,7 +487,7 @@ void Scenario::Audit(const std::vector<Journal::Entry>& entries) {
     ++result_.multi_object_txns;
     size_t applied = 0;
     for (const auto& [id, lsn] : objects) {
-      const AtomicObject* obj = restarted.object(id);
+      const AtomicObject* obj = restarted->object(id);
       if (obj != nullptr && obj->last_committed_lsn() >= lsn) ++applied;
     }
     if (applied == objects.size()) ++result_.multi_object_whole;

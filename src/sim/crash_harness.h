@@ -1,22 +1,27 @@
 // Copyright 2026 The ccr Authors.
 //
-// The crash driver: run the real engine on a temp directory, kill the
-// "machine" while its workers commit, restart a fresh system from what
-// reached the disk, and audit it against the sequence the run produced.
+// The crash driver: open the real engine (Engine::Open) on a temp
+// directory, kill the "machine" while its workers commit, open a fresh
+// engine on what reached the disk, and audit it against the sequence the
+// run produced.
 //
 // The engine is the whole durable stack: a GroupCommitPipeline in any
 // DurabilityMode over a segmented journal, optionally a LogStructuredStore,
-// and maintenance passes (eviction, fuzzy checkpoint, truncation, store
-// compaction) that a driver thread runs at fixed commit counts while the
-// workers commit. The workload is a TxnBody on N threads or an unpaced
-// burst through a ServeFrontend. The fault is data (CrashFault). The
-// journal sink, the checkpointer and the store share one CrashPoints, so
-// a death kills them together; an I/O error leaves them running, and the
-// pipeline's fail-stop alone must keep anything more from being
-// acknowledged or published. Journal records reach the disk only when a
-// sync writes them, so the machine's death loses what was never synced (a
-// record death leaves a seeded prefix of it), and an ack or an image that
-// ran ahead of the sync is caught. Audits:
+// and maintenance passes (eviction, Engine::Checkpoint's fuzzy checkpoint
+// and truncation, store compaction) that a driver thread runs at fixed
+// commit counts while the workers commit. The workload is a TxnBody on N
+// threads or an unpaced burst through a ServeFrontend. The fault is data
+// (CrashFault). The journal sink, the checkpointer and the store share one
+// CrashPoints, so a death kills them together; an I/O error leaves them
+// running, and the pipeline's fail-stop alone must keep anything more from
+// being acknowledged or published. Journal records reach the disk only
+// when a sync writes them (a page-cache sink laid over the journal sink
+// through EngineOptions::journal_decorator), so the machine's death loses
+// what was never synced (a record death leaves a seeded prefix of it), and
+// an ack or an image that ran ahead of the sync is caught. The audit's
+// open restarts the crashed directory and resumes it, reopening the
+// journal at high_lsn + 1 (which cuts a torn tail), so every scenario also
+// exercises the resume. Audits:
 //
 //   1. the recovered entries are a prefix of the run's sequence, and
 //      recovery lands on exactly the records that survived the crash whole;
@@ -32,21 +37,15 @@
 #ifndef CCR_SIM_CRASH_HARNESS_H_
 #define CCR_SIM_CRASH_HARNESS_H_
 
-#include <functional>
 #include <string>
 
+#include "engine/engine.h"
 #include "serve/frontend.h"
 #include "sim/driver.h"
 #include "sim/open_loop.h"
 #include "txn/group_commit.h"
 
 namespace ccr {
-
-// Builds the system's objects into a fresh manager. Called twice per
-// scenario: once for the live run, once for the restart — a crash loses
-// every volatile structure, so recovery must start from a newly
-// constructed engine.
-using SystemFactory = std::function<void(TxnManager* manager)>;
 
 // The one fault a run injects.
 struct CrashFault {
@@ -149,7 +148,9 @@ struct CrashScenarioResult {
   }
 };
 
-// Runs the scenario with a TxnBody workload.
+// Runs the scenario with a TxnBody workload. `factory` runs twice, in the
+// live run's Engine::Open and in the audit's: a crash loses every volatile
+// structure, so recovery starts from a newly constructed engine.
 CrashScenarioResult RunCrashScenario(const SystemFactory& factory,
                                      const TxnBody& body,
                                      const CrashScenarioOptions& options);

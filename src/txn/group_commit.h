@@ -95,9 +95,9 @@ struct GroupCommitOptions {
   // fdatasync form batch N+1) — the linger only earns its keep on an idle
   // log with sparse, ack-free (kRelaxed) arrivals.
   uint64_t max_delay_us = 500;
-  // First LSN this pipeline assigns. A post-restart pipeline continues the
-  // durable journal's LSN space (restart high watermark + 1); must match
-  // the journal's set_base_lsn + 1.
+  // First LSN this pipeline assigns; the journal attached to it numbers
+  // from here too. A post-restart pipeline continues the durable journal's
+  // LSN space at the restart's high_lsn + 1, which Engine::Open sets.
   Lsn first_lsn = 1;
 };
 
@@ -128,6 +128,7 @@ class GroupCommitPipeline {
   GroupCommitPipeline& operator=(const GroupCommitPipeline&) = delete;
 
   DurabilityMode mode() const { return options_.mode; }
+  Lsn first_lsn() const { return options_.first_lsn; }
 
   // Sequences one journal entry (commit or lifecycle record): assigns the
   // next LSN and either appends+syncs inline (kSync) or enqueues it for

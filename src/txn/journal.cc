@@ -7,11 +7,13 @@
 
 namespace ccr {
 
-void Journal::set_base_lsn(Lsn base) {
+void Journal::set_pipeline(GroupCommitPipeline* pipeline) {
   std::lock_guard<std::mutex> lock(mu_);
+  pipeline_ = pipeline;
+  if (pipeline == nullptr) return;
   CCR_CHECK_MSG(entries_.empty(),
-                "set_base_lsn on a journal that already has records");
-  base_lsn_ = base;
+                "pipeline attached to a journal that already has records");
+  base_lsn_ = pipeline->first_lsn() - 1;
 }
 
 Lsn Journal::high_lsn() const {
@@ -74,13 +76,6 @@ void Journal::ForEachRecord(
   for (const Entry& entry : entries_) {
     if (!entry.is_lifecycle) fn(entry.commit);
   }
-}
-
-void Journal::ForEachEntry(
-    const std::function<void(Lsn, const Entry&)>& fn) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  Lsn lsn = base_lsn_;
-  for (const Entry& entry : entries_) fn(++lsn, entry);
 }
 
 size_t Journal::size() const {

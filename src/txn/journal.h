@@ -25,9 +25,9 @@
 // GroupCommitPipeline (set_pipeline) streams every entry to a durable byte
 // sink in the checksummed frame format of journal_format.h — synced per
 // record in the pipeline's kSync mode, per batch in kGroup. Crash recovery
-// reads the entries back from any of three sources — this in-memory
-// journal, a crash image, or a segmented directory — through one restart
-// driver (TxnManager::Restart / RestartFromImage / RestartFromDir).
+// reads the entries back from either of two sources — a crash image or a
+// segmented directory — through one restart driver
+// (TxnManager::RestartFromImage / RestartFromDir).
 
 #ifndef CCR_TXN_JOURNAL_H_
 #define CCR_TXN_JOURNAL_H_
@@ -123,17 +123,13 @@ class Journal {
   // an LSN under the journal mutex, so the pipeline sees entries in commit
   // order). In kGroup/kRelaxed mode the append returns without touching
   // the disk — the background flusher syncs batches; in kSync mode the
-  // append+fdatasync happens inline, one sync per record. Set before first
-  // use; the pipeline must outlive the journal's last append. nullptr
-  // detaches (volatile-only again).
-  void set_pipeline(GroupCommitPipeline* pipeline) { pipeline_ = pipeline; }
-
-  // Post-restart continuation: the LSN space continues where the durable
-  // journal left off, so a recovered system's new records never collide
-  // with checkpointed per-object LSNs. The next AppendCommit returns
-  // base + 1. Must be called before any append (records must be empty);
-  // the attached pipeline's first_lsn must be set to base + 1 to match.
-  void set_base_lsn(Lsn base);
+  // append+fdatasync happens inline, one sync per record. The journal's
+  // LSN space is the pipeline's: its first append gets the pipeline's
+  // first_lsn (a post-restart pipeline continues the durable journal's
+  // LSN space; Engine::Open sets that up). Set before the first append;
+  // the pipeline must outlive the journal's last append. nullptr detaches
+  // (volatile-only again).
+  void set_pipeline(GroupCommitPipeline* pipeline);
 
   // Highest LSN assigned so far (base + in-memory record count) — the
   // anchor a fuzzy checkpoint captures before walking objects.
@@ -165,10 +161,6 @@ class Journal {
   // `fn` must not reenter this journal or block on anything that appends
   // to it.
   void ForEachRecord(const std::function<void(const CommitRecord&)>& fn) const;
-
-  // Visits every entry (commit + lifecycle) with its LSN, in LSN order,
-  // without copying. Same reentrancy caveat as ForEachRecord.
-  void ForEachEntry(const std::function<void(Lsn, const Entry&)>& fn) const;
 
   // Entry count (commit + lifecycle records).
   size_t size() const;

@@ -343,4 +343,12 @@ StatusOr<Journal> ScanJournalImage(std::string_view image,
   return Journal(std::move(entries));
 }
 
+std::string EncodeJournalImage(const Journal& journal) {
+  std::string image;
+  for (const Journal::Entry& entry : journal.Entries()) {
+    image += EncodeEntryRecord(entry);
+  }
+  return image;
+}
+
 }  // namespace ccr

@@ -110,9 +110,9 @@ std::string EncodeEntryPayload(const Journal::Entry& entry);
 StatusOr<Journal::Entry> DecodeEntryPayload(std::string_view payload);
 std::string EncodeEntryRecord(const Journal::Entry& entry);
 
-// What a journal scan found and did — of a crash image, a segmented
-// directory, or the in-memory journal (restart reports every source in
-// this one shape; segment counts stay 0 outside directories).
+// What a journal scan found and did — of a crash image or a segmented
+// directory (restart reports both sources in this one shape; segment
+// counts stay 0 outside directories).
 struct RecoveryReport {
   size_t segments = 0;          // segments visited (incl. ignored artifacts)
   size_t records_replayed = 0;  // intact records delivered to the visitor
@@ -149,6 +149,10 @@ Status ForEachJournalEntry(std::string_view image, Lsn after_lsn,
 // ForEachJournalEntry instead.)
 StatusOr<Journal> ScanJournalImage(std::string_view image,
                                    RecoveryReport* report);
+
+// The image `journal`'s entries leave on disk: their frames in LSN order,
+// as a crash image that lost nothing (ScanJournalImage reads it back).
+std::string EncodeJournalImage(const Journal& journal);
 
 }  // namespace ccr
 

@@ -193,17 +193,10 @@ Status JournalWriter::AppendEncoded(const std::string& encoded) {
   CCR_RETURN_IF_ERROR(sink_->Append(encoded));
   bytes_written_ += encoded.size();
   ++records_appended_;
-  boundaries_.push_back(bytes_written_);
   return Status::OK();
 }
 
 Status JournalWriter::Sync() { return sink_->Sync(); }
-
-uint64_t JournalWriter::boundary(size_t index) const {
-  CCR_CHECK_MSG(index < boundaries_.size(), "boundary %zu of %zu", index,
-                boundaries_.size());
-  return boundaries_[index];
-}
 
 // ---------------------------------------------------------------------------
 // Segmented journal

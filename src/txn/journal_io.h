@@ -277,22 +277,17 @@ class JournalWriter {
   Status Sync();
 
   size_t records_appended() const { return records_appended_; }
+  // The image's end offset: read after a record's append, it is that
+  // record's end, where an image cut is a crash right after the record.
   uint64_t bytes_written() const { return bytes_written_; }
 
-  // Byte offset at which record `index` started (index <= records
-  // appended so far); boundary(n) for n == records appended is the
-  // current end offset. Cutting an image there (or inside the next frame)
-  // is a crash at (or during) that record.
-  uint64_t boundary(size_t index) const;
-
  private:
-  // Sink append + boundary accounting for one encoded frame.
+  // Sink append + byte accounting for one encoded frame.
   Status AppendEncoded(const std::string& encoded);
 
   ByteSink* sink_;
   size_t records_appended_ = 0;
   uint64_t bytes_written_ = 0;
-  std::vector<uint64_t> boundaries_{0};
 };
 
 }  // namespace ccr

@@ -483,30 +483,6 @@ Status TxnManager::InstallImageObjects(ReplayContext& ctx,
   return Status::OK();
 }
 
-StatusOr<RestartSummary> TxnManager::Restart(const Journal& journal,
-                                             RestartOptions options) {
-  return RestartFrom(
-      [&journal](Lsn after_lsn, const JournalEntryFn& fn,
-                 RecoveryReport* report) {
-        // LSNs come from the journal's own numbering space (a journal
-        // continuing a prior generation starts at its base + 1), so the
-        // per-object LSNs replay seeds match what later checkpoints pair
-        // with journal.high_lsn().
-        Status status;
-        journal.ForEachEntry([&](Lsn lsn, const Journal::Entry& entry) {
-          if (!status.ok()) return;
-          if (lsn <= after_lsn) {
-            ++report->records_skipped;
-            return;
-          }
-          status = fn(lsn, Journal::Entry(entry));
-          if (status.ok()) ++report->records_replayed;
-        });
-        return status;
-      },
-      /*checkpoint_dir=*/"", options);
-}
-
 StatusOr<RestartSummary> TxnManager::RestartFromImage(std::string_view image,
                                                       RestartOptions options) {
   return RestartFrom(

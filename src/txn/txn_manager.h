@@ -102,8 +102,7 @@ struct RestartSummary {
   // left deferred in the store (lazy_store_install).
   bool from_store = false;
   size_t store_deferred = 0;
-  // The journal scan's outcome (segment counts stay 0 for the in-memory
-  // and image sources).
+  // The journal scan's outcome (segment counts stay 0 for an image).
   RecoveryReport scan;
 };
 
@@ -246,12 +245,11 @@ class TxnManager {
   // drops, max stripe depth).
   DirectoryStats directory_stats() const { return directory_.stats(); }
 
-  // Crash restart. Three entry sources feed one driver: the in-memory
-  // journal (entries numbered from its base LSN), a crash image (the
+  // Crash restart. Two entry sources feed one driver: a crash image (the
   // durable journal's post-crash bytes, scanned under the torn-tail
-  // truncation rule — mid-journal corruption is kInternal), and a
-  // segmented journal directory. Call on a freshly built manager (same
-  // objects re-added and factories registered, no live transactions —
+  // truncation rule — mid-journal corruption is kInternal) and a segmented
+  // journal directory. Call on a freshly built manager (same objects
+  // re-added and factories registered, no live transactions —
   // kIllegalState otherwise).
   //
   // The driver installs the newest checkpoint — the attached store's meta
@@ -272,11 +270,8 @@ class TxnManager {
   // state and replay-created objects are never published — a
   // half-replayed restart never leaks into service as a valid one. The
   // caller may retry with a repaired journal or discard the manager. On
-  // success, resume journaling at summary.high_lsn + 1
-  // (Journal::set_base_lsn, GroupCommitOptions::first_lsn,
-  // SegmentedFileSink::Open's first_lsn).
-  StatusOr<RestartSummary> Restart(const Journal& journal,
-                                   RestartOptions options = {});
+  // success, journaling resumes at summary.high_lsn + 1: Engine::Open
+  // (engine/engine.h) restarts a directory and resumes it that way.
   StatusOr<RestartSummary> RestartFromImage(std::string_view image,
                                             RestartOptions options = {});
   StatusOr<RestartSummary> RestartFromDir(const std::string& dir,
@@ -475,8 +470,8 @@ class TxnManager {
   using EntryScan = std::function<Status(
       Lsn after_lsn, const JournalEntryFn& fn, RecoveryReport* report)>;
 
-  // The one restart driver behind Restart, RestartFromImage and
-  // RestartFromDir (see Restart for the contract). `checkpoint_dir`
+  // The one restart driver behind RestartFromImage and RestartFromDir
+  // (see RestartFromImage for the contract). `checkpoint_dir`
   // names where checkpoint files live when the store holds no checkpoint
   // (empty: the store's checkpoint only).
   StatusOr<RestartSummary> RestartFrom(const EntryScan& scan,

@@ -203,7 +203,7 @@ TEST_P(BatchTest, MultiObjectRecordReplaysThroughRestart) {
   }
   TxnManager restarted;
   AddCounters(&restarted, method, 3);
-  ASSERT_TRUE(restarted.Restart(journal).ok());
+  ASSERT_TRUE(restarted.RestartFromImage(EncodeJournalImage(journal)).ok());
   EXPECT_EQ(CounterValue(restarted.object("C0")), 1 + 2 + 3 + 4);
   EXPECT_EQ(CounterValue(restarted.object("C1")), 2 * (1 + 2 + 3 + 4));
   EXPECT_EQ(CounterValue(restarted.object("C2")), 3 * (1 + 2 + 3 + 4));

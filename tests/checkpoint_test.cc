@@ -31,6 +31,8 @@
 #include "adt/semiqueue.h"
 #include "adt/state_codec.h"
 #include "common/random.h"
+#include "common/temp_path.h"
+#include "engine/engine.h"
 #include "sim/crash_harness.h"
 #include "txn/checkpoint.h"
 #include "txn/du_recovery.h"
@@ -42,28 +44,6 @@
 
 namespace ccr {
 namespace {
-
-class TempDir {
- public:
-  TempDir() {
-    char buf[] = "/tmp/ccr_ckpt_test_XXXXXX";
-    if (::mkdtemp(buf) != nullptr) path_ = buf;
-    CCR_CHECK(!path_.empty());
-  }
-  ~TempDir() {
-    if (StatusOr<std::vector<std::string>> names = ListDir(path_);
-        names.ok()) {
-      for (const std::string& name : *names) {
-        std::remove((path_ + "/" + name).c_str());
-      }
-    }
-    ::rmdir(path_.c_str());
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 // ---------------------------------------------------------------------------
 // State codecs
@@ -532,37 +512,31 @@ TEST(SegmentedSinkTest, ReopenDoesNotUnlinkSegmentItCannotRead) {
 // Checkpoint-aware restart
 // ---------------------------------------------------------------------------
 
+Status Deposit(TxnManager* manager, int64_t amount) {
+  auto ba = MakeBankAccount();
+  return manager->RunTransaction([&](Transaction* txn) {
+    return manager->Execute(txn, ba->DepositInv(amount)).status();
+  });
+}
+
+// A kSync engine over the two-object system in `dir`; the open must
+// succeed.
+std::unique_ptr<Engine> OpenTwoObjectEngine(const std::string& dir) {
+  EngineOptions options;
+  options.group_commit.mode = DurabilityMode::kSync;
+  options.journal.max_segment_bytes = 160;
+  StatusOr<std::unique_ptr<Engine>> engine =
+      Engine::Open(dir, std::move(options), TwoObjectFactory);
+  CCR_CHECK_MSG(engine.ok(), "%s", engine.status().ToString().c_str());
+  return std::move(*engine);
+}
+
 struct LifecycleWorld {
   TempDir dir;
-  TxnManager manager;
-  Journal journal;
-  std::unique_ptr<SegmentedFileSink> sink;
-  std::unique_ptr<JournalWriter> writer;
-  std::unique_ptr<GroupCommitPipeline> pipeline;
+  std::unique_ptr<Engine> engine = OpenTwoObjectEngine(dir.path());
+  TxnManager& manager = *engine->manager();
 
-  explicit LifecycleWorld(uint64_t max_segment_bytes = 160) {
-    TwoObjectFactory(&manager);
-    SegmentedSinkOptions options;
-    options.max_segment_bytes = max_segment_bytes;
-    StatusOr<std::unique_ptr<SegmentedFileSink>> opened =
-        SegmentedFileSink::Open(dir.path(), 1, options);
-    CCR_CHECK(opened.ok());
-    sink = std::move(*opened);
-    writer = std::make_unique<JournalWriter>(sink.get());
-    pipeline = std::make_unique<GroupCommitPipeline>(
-        writer.get(), GroupCommitOptions{DurabilityMode::kSync});
-    journal.set_pipeline(pipeline.get());
-    for (AtomicObject* obj : manager.objects()) {
-      obj->recovery().set_journal(&journal);
-    }
-  }
-
-  Status Deposit(int64_t amount) {
-    auto ba = MakeBankAccount();
-    return manager.RunTransaction([&](Transaction* txn) {
-      return manager.Execute(txn, ba->DepositInv(amount)).status();
-    });
-  }
+  Status Deposit(int64_t amount) { return ccr::Deposit(&manager, amount); }
   Status Insert(int64_t elem) {
     auto set = MakeIntSet();
     return manager.RunTransaction([&](Transaction* txn) {
@@ -579,16 +553,13 @@ TEST(RestartFromDirTest, CheckpointPlusTailSerialAndParallel) {
   }
   // Checkpoint, truncate, then keep committing: the post-crash journal is
   // checkpoint + tail only.
-  Checkpointer checkpointer(world.dir.path());
-  const Lsn anchor = world.journal.high_lsn();
-  StatusOr<Lsn> written = checkpointer.Write(&world.manager, anchor);
-  ASSERT_TRUE(written.ok()) << written.status().ToString();
-  ASSERT_TRUE(world.sink->TruncateBelow(anchor).ok());
+  const StatusOr<Lsn> anchor = world.engine->Checkpoint();
+  ASSERT_TRUE(anchor.ok()) << anchor.status().ToString();
   for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(world.Deposit(3).ok());
     ASSERT_TRUE(world.Insert(100 + i).ok());
   }
-  const Lsn high = world.journal.high_lsn();
+  const Lsn high = world.engine->journal()->high_lsn();
   const TxnId max_txn = world.manager.max_assigned_txn();
 
   for (const int threads : {1, 4}) {
@@ -598,11 +569,11 @@ TEST(RestartFromDirTest, CheckpointPlusTailSerialAndParallel) {
         restarted.RestartFromDir(world.dir.path(), RestartOptions{threads});
     ASSERT_TRUE(summary.ok())
         << threads << " threads: " << summary.status().ToString();
-    EXPECT_EQ(summary->checkpoint_anchor, anchor);
+    EXPECT_EQ(summary->checkpoint_anchor, *anchor);
     EXPECT_EQ(summary->checkpoint_objects, 2u);
     EXPECT_EQ(summary->high_lsn, high);
     EXPECT_EQ(summary->max_txn, max_txn);
-    EXPECT_EQ(summary->tail_records, static_cast<size_t>(high - anchor));
+    EXPECT_EQ(summary->tail_records, static_cast<size_t>(high - *anchor));
     for (AtomicObject* obj : restarted.objects()) {
       EXPECT_TRUE(obj->CommittedState()->Equals(
           *world.manager.object(obj->id())->CommittedState()))
@@ -614,108 +585,54 @@ TEST(RestartFromDirTest, CheckpointPlusTailSerialAndParallel) {
 }
 
 TEST(RestartFromDirTest, LsnSpaceContinuesAcrossRestart) {
-  Lsn high = 0;
-  TxnId max_txn = 0;
-  TempDir* dir_ptr = nullptr;
   LifecycleWorld world;
-  dir_ptr = &world.dir;
   for (int i = 0; i < 5; ++i) ASSERT_TRUE(world.Deposit(2).ok());
-  Checkpointer checkpointer(world.dir.path());
-  ASSERT_TRUE(
-      checkpointer.Write(&world.manager, world.journal.high_lsn()).ok());
-  ASSERT_TRUE(world.sink->TruncateBelow(world.journal.high_lsn()).ok());
+  ASSERT_TRUE(world.engine->Checkpoint().ok());
   ASSERT_TRUE(world.Deposit(10).ok());
-  high = world.journal.high_lsn();
-  max_txn = world.manager.max_assigned_txn();
+  const Lsn high = world.engine->journal()->high_lsn();
+  const TxnId max_txn = world.manager.max_assigned_txn();
+  world.engine.reset();
 
-  // Generation 2: restart, resume journaling after high, commit more.
-  TxnManager gen2;
-  TwoObjectFactory(&gen2);
-  StatusOr<RestartSummary> summary = gen2.RestartFromDir(dir_ptr->path());
-  ASSERT_TRUE(summary.ok());
-  ASSERT_EQ(summary->high_lsn, high);
-  SegmentedSinkOptions options;
-  StatusOr<std::unique_ptr<SegmentedFileSink>> sink2 =
-      SegmentedFileSink::Open(dir_ptr->path(), summary->high_lsn + 1, options);
-  ASSERT_TRUE(sink2.ok());
-  JournalWriter writer2(sink2->get());
-  GroupCommitOptions gc_options{DurabilityMode::kSync};
-  gc_options.first_lsn = summary->high_lsn + 1;
-  GroupCommitPipeline pipeline2(&writer2, gc_options);
-  Journal journal2;
-  journal2.set_base_lsn(summary->high_lsn);
-  journal2.set_pipeline(&pipeline2);
-  for (AtomicObject* obj : gen2.objects()) {
-    obj->recovery().set_journal(&journal2);
-  }
-  auto ba = MakeBankAccount();
-  ASSERT_TRUE(gen2.RunTransaction([&](Transaction* txn) {
-                    return gen2.Execute(txn, ba->DepositInv(100)).status();
-                  })
-                  .ok());
-  EXPECT_EQ(journal2.high_lsn(), high + 1);
+  // Generation 2: Engine::Open restarts and resumes journaling after high.
+  const std::unique_ptr<Engine> gen2 = OpenTwoObjectEngine(world.dir.path());
+  ASSERT_EQ(gen2->restart().high_lsn, high);
+  ASSERT_TRUE(Deposit(gen2->manager(), 100).ok());
+  EXPECT_EQ(gen2->journal()->high_lsn(), high + 1);
 
   // Generation 3 sees one seamless LSN space: checkpoint + old tail + new
   // records, states carried exactly.
   TxnManager gen3;
   TwoObjectFactory(&gen3);
-  StatusOr<RestartSummary> summary3 = gen3.RestartFromDir(dir_ptr->path());
+  StatusOr<RestartSummary> summary3 = gen3.RestartFromDir(world.dir.path());
   ASSERT_TRUE(summary3.ok()) << summary3.status().ToString();
   EXPECT_EQ(summary3->high_lsn, high + 1);
   EXPECT_GT(summary3->max_txn, max_txn);
   EXPECT_TRUE(gen3.object("BA")->CommittedState()->Equals(
-      *gen2.object("BA")->CommittedState()));
+      *gen2->manager()->object("BA")->CommittedState()));
 }
 
 TEST(RestartFromDirTest, TornTailToleratedAcrossTwoRestarts) {
   LifecycleWorld world;
   for (int i = 0; i < 5; ++i) ASSERT_TRUE(world.Deposit(2).ok());
-  Checkpointer checkpointer(world.dir.path());
-  ASSERT_TRUE(
-      checkpointer.Write(&world.manager, world.journal.high_lsn()).ok());
+  ASSERT_TRUE(world.engine->Checkpoint().ok());
   for (int i = 0; i < 3; ++i) ASSERT_TRUE(world.Deposit(10).ok());
-  const Lsn high = world.journal.high_lsn();
-  // The crash: drop the writer stack, then leave a half-written record on
-  // the active segment's tail.
-  world.journal.set_pipeline(nullptr);
-  world.pipeline.reset();
-  world.writer.reset();
-  world.sink.reset();
+  const Lsn high = world.engine->journal()->high_lsn();
+  // The crash: drop the engine, then leave a half-written record on the
+  // active segment's tail.
+  world.engine.reset();
   const std::string frame = EncodeCommitRecord(DepositRecord(99, 1));
   AppendRawBytes(LastSegmentPath(world.dir.path()),
                  std::string_view(frame).substr(0, frame.size() - 3));
 
-  // Restart 1 tolerates the torn tail, then resumes the documented
-  // protocol: a fresh active segment at high_lsn + 1, more commits.
-  TxnManager gen2;
-  TwoObjectFactory(&gen2);
-  StatusOr<RestartSummary> summary = gen2.RestartFromDir(world.dir.path());
-  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
-  ASSERT_EQ(summary->high_lsn, high);
-  EXPECT_TRUE(summary->scan.corrupt_tail);
-  SegmentedSinkOptions options;
-  StatusOr<std::unique_ptr<SegmentedFileSink>> sink2 =
-      SegmentedFileSink::Open(world.dir.path(), high + 1, options);
-  ASSERT_TRUE(sink2.ok()) << sink2.status().ToString();
-  JournalWriter writer2(sink2->get());
-  GroupCommitOptions gc_options{DurabilityMode::kSync};
-  gc_options.first_lsn = high + 1;
-  GroupCommitPipeline pipeline2(&writer2, gc_options);
-  Journal journal2;
-  journal2.set_base_lsn(high);
-  journal2.set_pipeline(&pipeline2);
-  for (AtomicObject* obj : gen2.objects()) {
-    obj->recovery().set_journal(&journal2);
-  }
-  auto ba = MakeBankAccount();
-  ASSERT_TRUE(gen2.RunTransaction([&](Transaction* txn) {
-                    return gen2.Execute(txn, ba->DepositInv(100)).status();
-                  })
-                  .ok());
-  for (AtomicObject* obj : gen2.objects()) {
-    obj->recovery().set_journal(nullptr);
-  }
-  sink2->reset();
+  // Restart 1 tolerates the torn tail, then resumes: a fresh active
+  // segment at high_lsn + 1, more commits.
+  std::unique_ptr<Engine> gen2 = OpenTwoObjectEngine(world.dir.path());
+  ASSERT_EQ(gen2->restart().high_lsn, high);
+  EXPECT_TRUE(gen2->restart().scan.corrupt_tail);
+  ASSERT_TRUE(Deposit(gen2->manager(), 100).ok());
+  const std::unique_ptr<SpecState> balance =
+      gen2->manager()->object("BA")->CommittedState();
+  gen2.reset();
 
   // Restart 2: the torn bytes sat in what is now a non-final segment —
   // recovery succeeds only because the gen-2 reopen physically removed
@@ -726,25 +643,7 @@ TEST(RestartFromDirTest, TornTailToleratedAcrossTwoRestarts) {
   ASSERT_TRUE(summary3.ok()) << summary3.status().ToString();
   EXPECT_EQ(summary3->high_lsn, high + 1);
   EXPECT_FALSE(summary3->scan.corrupt_tail);
-  EXPECT_TRUE(gen3.object("BA")->CommittedState()->Equals(
-      *gen2.object("BA")->CommittedState()));
-}
-
-TEST(RestartTest, ReplayLsnsLiveInTheJournalsBaseSpace) {
-  TxnManager manager;
-  TwoObjectFactory(&manager);
-  Journal journal;
-  journal.set_base_lsn(5);
-  auto ba = MakeBankAccount();
-  journal.AppendCommit(1, OpSeq{ba->Deposit(10)});
-  journal.AppendCommit(2, OpSeq{ba->Deposit(20)});
-  ASSERT_TRUE(manager.Restart(journal).ok());
-  // Per-object last-committed LSNs must land in the journal's own
-  // numbering space (base+1, base+2), not a private count-from-1 space: a
-  // checkpoint written after this restart pairs them with
-  // journal.high_lsn(), and a mismatch would mis-skip tail records.
-  EXPECT_EQ(journal.high_lsn(), 7u);
-  EXPECT_EQ(manager.object("BA")->last_committed_lsn(), journal.high_lsn());
+  EXPECT_TRUE(gen3.object("BA")->CommittedState()->Equals(*balance));
 }
 
 // ---------------------------------------------------------------------------
@@ -807,7 +706,10 @@ TEST(FailAtomicRestartTest, InMemoryRestartAlsoResets) {
     for (int threads : {1, 4}) {
       TxnManager manager;
       TwoObjectFactory(&manager);
-      ASSERT_EQ(manager.Restart(*journal, {threads}).status().code(),
+      ASSERT_EQ(manager.RestartFromImage(EncodeJournalImage(*journal),
+                                         {threads})
+                    .status()
+                    .code(),
                 StatusCode::kInternal);
       for (AtomicObject* obj : manager.objects()) {
         EXPECT_TRUE(
@@ -936,55 +838,39 @@ TEST_P(CheckpointDurabilityTest, AckedCommitSurvivesTheSecondRestart) {
       return manager->Execute(txn, ba->DepositInv(amount)).status();
     });
   };
+  const auto open = [](const TempDir& at, DurabilityMode mode) {
+    EngineOptions options;
+    options.group_commit.mode = mode;
+    options.group_commit.max_delay_us = 10'000'000;
+    return Engine::Open(at.path(), std::move(options), SingleAccountFactory);
+  };
   {
-    TxnManager gen1;
-    SingleAccountFactory(&gen1);
-    StatusOr<std::unique_ptr<SegmentedFileSink>> sink =
-        SegmentedFileSink::Open(dir.path(), 1);
-    ASSERT_TRUE(sink.ok());
-    JournalWriter writer(sink->get());
-    GroupCommitOptions gc{GetParam()};
-    gc.max_delay_us = 10'000'000;
-    GroupCommitPipeline pipeline(&writer, gc);
-    Journal journal;
-    journal.set_pipeline(&pipeline);
-    gen1.set_commit_pipeline(&pipeline);
-    gen1.object("BA")->recovery().set_journal(&journal);
-
-    ASSERT_TRUE(deposit(&gen1, 5).ok());  // acknowledged at LSN 1
-    const Lsn anchor = journal.high_lsn();
+    const StatusOr<std::unique_ptr<Engine>> gen1 = open(dir, GetParam());
+    ASSERT_TRUE(gen1.ok()) << gen1.status().ToString();
+    TxnManager* manager = (*gen1)->manager();
+    ASSERT_TRUE(deposit(manager, 5).ok());  // acknowledged at LSN 1
+    const Lsn anchor = (*gen1)->journal()->high_lsn();
     ASSERT_EQ(anchor, 1u);
-    auto txn = gen1.Begin();
-    ASSERT_TRUE(gen1.Execute(txn.get(), ba->DepositInv(7)).ok());
-    const StatusOr<Lsn> lsn = gen1.CommitAsync(txn.get());
+    auto txn = manager->Begin();
+    ASSERT_TRUE(manager->Execute(txn.get(), ba->DepositInv(7)).ok());
+    const StatusOr<Lsn> lsn = manager->CommitAsync(txn.get());
     ASSERT_TRUE(lsn.ok());
     ASSERT_EQ(*lsn, 2u);
-    EXPECT_LT(pipeline.durable_lsn(), 2u);  // sequenced, lingering
-    ASSERT_TRUE(Checkpointer(dir.path()).Write(&gen1, anchor).ok());
+    EXPECT_LT((*gen1)->pipeline()->durable_lsn(), 2u);  // sequenced, lingering
+    // The anchor read before the second commit, not Engine::Checkpoint's.
+    ASSERT_TRUE(Checkpointer(dir.path()).Write(manager, anchor).ok());
     CopyDir(dir.path(), crashed.path());  // the crash
   }
-  // Generation 2 restarts from the crashed disk, resumes the documented
-  // protocol, and acknowledges a deposit of 100 under kSync.
+  // Generation 2 opens the crashed disk, which resumes journaling after
+  // its high LSN, and acknowledges a deposit of 100 under kSync.
   {
-    TxnManager gen2;
-    SingleAccountFactory(&gen2);
-    StatusOr<RestartSummary> summary = gen2.RestartFromDir(crashed.path());
-    ASSERT_TRUE(summary.ok()) << summary.status().ToString();
-    EXPECT_EQ(BalanceOf(*gen2.object("BA")->CommittedState()), 12);
-    StatusOr<std::unique_ptr<SegmentedFileSink>> sink =
-        SegmentedFileSink::Open(crashed.path(), summary->high_lsn + 1);
-    ASSERT_TRUE(sink.ok());
-    JournalWriter writer(sink->get());
-    GroupCommitOptions gc{DurabilityMode::kSync};
-    gc.first_lsn = summary->high_lsn + 1;
-    GroupCommitPipeline pipeline(&writer, gc);
-    Journal journal;
-    journal.set_base_lsn(summary->high_lsn);
-    journal.set_pipeline(&pipeline);
-    gen2.set_commit_pipeline(&pipeline);
-    gen2.object("BA")->recovery().set_journal(&journal);
-    ASSERT_TRUE(deposit(&gen2, 100).ok());
-    EXPECT_EQ(BalanceOf(*gen2.object("BA")->CommittedState()), 112);
+    const StatusOr<std::unique_ptr<Engine>> gen2 =
+        open(crashed, DurabilityMode::kSync);
+    ASSERT_TRUE(gen2.ok()) << gen2.status().ToString();
+    TxnManager* manager = (*gen2)->manager();
+    EXPECT_EQ(BalanceOf(*manager->object("BA")->CommittedState()), 12);
+    ASSERT_TRUE(deposit(manager, 100).ok());
+    EXPECT_EQ(BalanceOf(*manager->object("BA")->CommittedState()), 112);
   }
   // Generation 3: the acknowledged deposit is still there.
   TxnManager gen3;
@@ -1008,37 +894,26 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(FuzzyCheckpointTest, CheckpointsTakenUnderLoadRestartExactly) {
   TempDir dir;
-  TxnManager manager;
-  TwoObjectFactory(&manager);
-  SegmentedSinkOptions options;
-  options.max_segment_bytes = 512;
-  StatusOr<std::unique_ptr<SegmentedFileSink>> sink =
-      SegmentedFileSink::Open(dir.path(), 1, options);
-  ASSERT_TRUE(sink.ok());
-  JournalWriter writer(sink->get());
-  GroupCommitPipeline pipeline(&writer,
-                               GroupCommitOptions{DurabilityMode::kSync});
-  Journal journal;
-  journal.set_pipeline(&pipeline);
-  for (AtomicObject* obj : manager.objects()) {
-    obj->recovery().set_journal(&journal);
-  }
+  EngineOptions options;
+  options.group_commit.mode = DurabilityMode::kSync;
+  options.journal.max_segment_bytes = 512;
+  const StatusOr<std::unique_ptr<Engine>> engine =
+      Engine::Open(dir.path(), std::move(options), TwoObjectFactory);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  TxnManager* manager = (*engine)->manager();
 
-  // Maintenance races the workload: anchor captured from the journal
-  // BEFORE the object walk each pass — the ordering the fuzzy-checkpoint
-  // soundness argument hinges on.
+  // Maintenance races the workload: Engine::Checkpoint reads the anchor
+  // from the journal BEFORE the object walk each pass — the ordering the
+  // fuzzy-checkpoint soundness argument hinges on.
   std::atomic<bool> done{false};
   std::atomic<int> passes{0};
-  Checkpointer checkpointer(dir.path());
   std::thread maintenance([&] {
     while (!done.load(std::memory_order_acquire)) {
-      const Lsn anchor = journal.high_lsn();
-      if (anchor > 0) {
-        const StatusOr<Lsn> written = checkpointer.Write(&manager, anchor);
-        if (written.ok()) {
-          CCR_CHECK((*sink)->TruncateBelow(*written).ok());
-          passes.fetch_add(1, std::memory_order_relaxed);
-        }
+      if ((*engine)->journal()->high_lsn() > 0) {
+        const StatusOr<Lsn> written = (*engine)->Checkpoint();
+        CCR_CHECK_MSG(written.ok(), "%s",
+                      written.status().ToString().c_str());
+        passes.fetch_add(1, std::memory_order_relaxed);
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
@@ -1047,7 +922,7 @@ TEST(FuzzyCheckpointTest, CheckpointsTakenUnderLoadRestartExactly) {
   driver.threads = 3;
   driver.txns_per_thread = 40;
   driver.seed = 13;
-  RunWorkload(&manager, MixedBody(), driver);
+  RunWorkload(manager, MixedBody(), driver);
   done.store(true, std::memory_order_release);
   maintenance.join();
   ASSERT_GT(passes.load(), 0);
@@ -1057,10 +932,10 @@ TEST(FuzzyCheckpointTest, CheckpointsTakenUnderLoadRestartExactly) {
   StatusOr<RestartSummary> summary =
       restarted.RestartFromDir(dir.path(), RestartOptions{4});
   ASSERT_TRUE(summary.ok()) << summary.status().ToString();
-  EXPECT_EQ(summary->high_lsn, journal.high_lsn());
+  EXPECT_EQ(summary->high_lsn, (*engine)->journal()->high_lsn());
   for (AtomicObject* obj : restarted.objects()) {
     EXPECT_TRUE(obj->CommittedState()->Equals(
-        *manager.object(obj->id())->CommittedState()))
+        *manager->object(obj->id())->CommittedState()))
         << "object " << obj->id();
   }
 }

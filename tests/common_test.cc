@@ -1,8 +1,11 @@
 // Copyright 2026 The ccr Authors.
 //
 // Unit tests for the common layer: Status/StatusOr, the deterministic RNG,
-// the Zipfian sampler, and string/table formatting.
+// the Zipfian sampler, string/table formatting, and scratch directories.
 
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -10,9 +13,33 @@
 #include "common/random.h"
 #include "common/status.h"
 #include "common/string_util.h"
+#include "common/temp_path.h"
 
 namespace ccr {
 namespace {
+
+TEST(TempDirTest, CreatesUnderTmpdirAndRemovesItselfWithItsFiles) {
+  const char* saved = std::getenv("TMPDIR");
+  const std::string saved_tmpdir = saved != nullptr ? saved : "";
+  const TempDir root("ccr_tmpdir_root_");  // the scratch TMPDIR
+  ASSERT_EQ(::setenv("TMPDIR", root.path().c_str(), 1), 0);
+  std::string path;
+  {
+    const TempDir dir("ccr_probe_");
+    path = dir.path();
+    EXPECT_EQ(path.rfind(root.path() + "/ccr_probe_", 0), 0u) << path;
+    std::filesystem::create_directory(path + "/sub");
+    std::ofstream(path + "/sub/file") << "bytes";
+    std::ofstream(path + "/file") << "bytes";
+    EXPECT_TRUE(std::filesystem::exists(path + "/sub/file"));
+  }
+  EXPECT_FALSE(std::filesystem::exists(path));
+  if (saved != nullptr) {
+    ::setenv("TMPDIR", saved_tmpdir.c_str(), 1);
+  } else {
+    ::unsetenv("TMPDIR");
+  }
+}
 
 TEST(StatusTest, OkByDefault) {
   Status s;

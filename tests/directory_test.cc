@@ -5,9 +5,9 @@
 // retirement into the graveyard), manager-level lifecycle (GetOrCreate
 // through registered factories, journaled create/drop records, the
 // drop-with-live-transaction refusal), lazy creation racing a fuzzy
-// checkpoint, restarts that re-create dynamically created objects (plain
-// Restart, RestartFromImage, and checkpoint-aware RestartFromDir — with
-// drop and re-create incarnations), fail-atomicity when the journal names
+// checkpoint, restarts that re-create dynamically created objects
+// (RestartFromImage and checkpoint-aware RestartFromDir — with drop and
+// re-create incarnations), fail-atomicity when the journal names
 // an unregistered factory, and crash sweeps (byte-offset crash fractions
 // plus named maintenance crash points) over lifecycle-performing
 // workloads.
@@ -21,14 +21,12 @@
 #include <thread>
 #include <vector>
 
-#ifndef _WIN32
-#include <unistd.h>
-#endif
-
 #include "adt/counter.h"
 #include "common/random.h"
+#include "common/temp_path.h"
 #include "core/commutativity.h"
 #include "core/operation.h"
+#include "engine/engine.h"
 #include "sim/crash_harness.h"
 #include "store/mem_store.h"
 #include "txn/checkpoint.h"
@@ -91,28 +89,6 @@ int64_t ReadCounter(TxnManager* manager, const ObjectId& id) {
   CCR_CHECK(manager->Commit(txn.get()).ok());
   return r->AsInt();
 }
-
-class TempDir {
- public:
-  TempDir() {
-    char buf[] = "/tmp/ccr_dir_test_XXXXXX";
-    if (::mkdtemp(buf) != nullptr) path_ = buf;
-    CCR_CHECK(!path_.empty());
-  }
-  ~TempDir() {
-    if (StatusOr<std::vector<std::string>> names = ListDir(path_);
-        names.ok()) {
-      for (const std::string& name : *names) {
-        std::remove((path_ + "/" + name).c_str());
-      }
-    }
-    ::rmdir(path_.c_str());
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 // ---------------------------------------------------------------------------
 // Raw directory semantics
@@ -376,20 +352,13 @@ TEST(LifecycleRaceTest, ConcurrentCreateDropLookupExecute) {
 TEST(LifecycleRaceTest, LazyCreatesDuringRacingCheckpointRestartExactly) {
   constexpr int kIds = 60;
   TempDir dir;
-  StatusOr<std::unique_ptr<SegmentedFileSink>> sink =
-      SegmentedFileSink::Open(dir.path(), 1);
-  ASSERT_TRUE(sink.ok());
-  JournalWriter writer(sink->get());
-  GroupCommitPipeline pipeline(&writer,
-                               GroupCommitOptions{DurabilityMode::kSync});
-  Journal journal;
-  journal.set_pipeline(&pipeline);
-
-  TxnManagerOptions options;
-  options.record_history = false;
-  TxnManager manager(options);
-  RegisterCounterFactory(&manager);
-  manager.set_lifecycle_journal(&journal);
+  EngineOptions options;
+  options.manager.record_history = false;
+  options.group_commit.mode = DurabilityMode::kSync;
+  const StatusOr<std::unique_ptr<Engine>> engine =
+      Engine::Open(dir.path(), options, RegisterCounterFactory);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  TxnManager& manager = *(*engine)->manager();
 
   // Workload thread lazily creates kIds objects and commits one increment
   // on each; the main thread writes fuzzy checkpoints the whole time, so
@@ -403,18 +372,17 @@ TEST(LifecycleRaceTest, LazyCreatesDuringRacingCheckpointRestartExactly) {
     }
     done.store(true, std::memory_order_release);
   });
-  Checkpointer checkpointer(dir.path());
   size_t checkpoints = 0;
   while (!done.load(std::memory_order_acquire)) {
-    const Lsn anchor = journal.high_lsn();
-    if (anchor > 0 && checkpointer.Write(&manager, anchor).ok()) {
+    if ((*engine)->journal()->high_lsn() > 0 &&
+        (*engine)->Checkpoint().ok()) {
       ++checkpoints;
     }
   }
   workload.join();
   ASSERT_GE(checkpoints, 1u);
 
-  TxnManager restarted(options);
+  TxnManager restarted(options.manager);
   RegisterCounterFactory(&restarted);
   const StatusOr<RestartSummary> summary =
       restarted.RestartFromDir(dir.path(), {/*replay_threads=*/2});
@@ -430,7 +398,7 @@ TEST(LifecycleRaceTest, LazyCreatesDuringRacingCheckpointRestartExactly) {
 // Restart re-creates dynamic objects
 // ---------------------------------------------------------------------------
 
-// Builds the lifecycle story both in-memory restart tests share:
+// Builds the lifecycle story both image restart tests share:
 //   create D1, inc D1 +5, create D2, inc D2 +7,
 //   drop D2, create D2 (fresh incarnation), inc D2 +3,
 //   create D3, inc D3 +9, drop D3 (stays dropped).
@@ -469,7 +437,7 @@ TEST(DynamicRestartTest, RestartRecreatesDropsAndResetsIncarnations) {
 
   TxnManager restarted;
   RegisterCounterFactory(&restarted);
-  ASSERT_TRUE(restarted.Restart(journal).ok());
+  ASSERT_TRUE(restarted.RestartFromImage(EncodeJournalImage(journal)).ok());
   ExpectStoryState(&restarted);
 }
 
@@ -500,18 +468,12 @@ TEST(DynamicRestartTest, RestartFromDirReplaysLifecycleAcrossCheckpoint) {
   TempDir dir;
   Lsn anchor = 0;
   {
-    StatusOr<std::unique_ptr<SegmentedFileSink>> sink =
-        SegmentedFileSink::Open(dir.path(), 1);
-    ASSERT_TRUE(sink.ok());
-    JournalWriter writer(sink->get());
-    GroupCommitPipeline pipeline(&writer,
-                                 GroupCommitOptions{DurabilityMode::kSync});
-    Journal journal;
-    journal.set_pipeline(&pipeline);
-
-    TxnManager manager;
-    RegisterCounterFactory(&manager);
-    manager.set_lifecycle_journal(&journal);
+    EngineOptions options;
+    options.group_commit.mode = DurabilityMode::kSync;
+    const StatusOr<std::unique_ptr<Engine>> engine =
+        Engine::Open(dir.path(), std::move(options), RegisterCounterFactory);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    TxnManager& manager = *(*engine)->manager();
 
     // Pre-checkpoint: two dynamic objects with state.
     ASSERT_TRUE(manager.GetOrCreate("A", kCounterFactory).ok());
@@ -519,11 +481,9 @@ TEST(DynamicRestartTest, RestartFromDirReplaysLifecycleAcrossCheckpoint) {
     ASSERT_TRUE(manager.GetOrCreate("B", kCounterFactory).ok());
     ASSERT_TRUE(CommitInc(&manager, "B", 2).ok());
 
-    Checkpointer checkpointer(dir.path());
-    anchor = journal.high_lsn();
-    const StatusOr<Lsn> written = checkpointer.Write(&manager, anchor);
-    ASSERT_TRUE(written.ok());
-    ASSERT_TRUE((*sink)->TruncateBelow(*written).ok());
+    const StatusOr<Lsn> written = (*engine)->Checkpoint();
+    ASSERT_TRUE(written.ok()) << written.status().ToString();
+    anchor = *written;
 
     // Post-checkpoint tail: drop B (its `dyn` image entry must not
     // resurrect it blindly), re-create it, create C, keep mutating A, and
@@ -564,7 +524,9 @@ TEST(DynamicRestartTest, RestartFailsAtomicallyOnUnregisteredFactory) {
   const Journal journal(std::move(entries));
 
   TxnManager restarted;  // no factory registered
-  EXPECT_EQ(restarted.Restart(journal).status().code(),
+  EXPECT_EQ(restarted.RestartFromImage(EncodeJournalImage(journal))
+                .status()
+                .code(),
             StatusCode::kInternal);
   // Fail-atomic: the half-replayed create was never published.
   EXPECT_EQ(restarted.object("X"), nullptr);
@@ -572,8 +534,8 @@ TEST(DynamicRestartTest, RestartFailsAtomicallyOnUnregisteredFactory) {
 }
 
 // ---------------------------------------------------------------------------
-// Restart parity: the in-memory journal, a crash image, and the segmented
-// directory are three entry sources of one restart driver
+// Restart parity: a crash image and the segmented directory are two entry
+// sources of one restart driver
 // ---------------------------------------------------------------------------
 
 // A fresh store holding `from`'s keys, so every restart reconciles (re-
@@ -643,10 +605,7 @@ TEST(RestartParityTest, AllThreeSourcesRestartIdentically) {
     ASSERT_TRUE(manager.DropObject("S").ok());
     journal.set_pipeline(nullptr);
   }
-  std::string image;
-  for (const Journal::Entry& entry : journal.Entries()) {
-    image += EncodeEntryRecord(entry);
-  }
+  const std::string image = EncodeJournalImage(journal);
 
   // The store outlives its manager (declared first, destroyed last).
   struct Restarted {
@@ -654,10 +613,10 @@ TEST(RestartParityTest, AllThreeSourcesRestartIdentically) {
     std::unique_ptr<TxnManager> manager;
     RestartSummary summary;
   };
-  const char* const kSources[] = {"journal", "image", "dir"};
+  const char* const kSources[] = {"image", "dir"};
   std::vector<Restarted> runs;
   for (int threads : {1, 4}) {
-    for (int source = 0; source < 3; ++source) {
+    for (int source = 0; source < 2; ++source) {
       SCOPED_TRACE(std::string(kSources[source]) + " x" +
                    std::to_string(threads));
       Restarted run;
@@ -667,9 +626,8 @@ TEST(RestartParityTest, AllThreeSourcesRestartIdentically) {
       run.manager->set_object_store(run.store.get());
       const RestartOptions options{threads};
       const StatusOr<RestartSummary> summary =
-          source == 0   ? run.manager->Restart(journal, options)
-          : source == 1 ? run.manager->RestartFromImage(image, options)
-                        : run.manager->RestartFromDir(dir.path(), options);
+          source == 0 ? run.manager->RestartFromImage(image, options)
+                      : run.manager->RestartFromDir(dir.path(), options);
       ASSERT_TRUE(summary.ok()) << summary.status().ToString();
       run.summary = *summary;
       runs.push_back(std::move(run));
@@ -688,8 +646,8 @@ TEST(RestartParityTest, AllThreeSourcesRestartIdentically) {
   EXPECT_EQ(base.manager->object("S"), nullptr);
 
   for (size_t i = 1; i < runs.size(); ++i) {
-    SCOPED_TRACE(std::string(kSources[i % 3]) + " x" +
-                 std::to_string(i < 3 ? 1 : 4));
+    SCOPED_TRACE(std::string(kSources[i % 2]) + " x" +
+                 std::to_string(i < 2 ? 1 : 4));
     const RestartSummary& a = base.summary;
     const RestartSummary& b = runs[i].summary;
     EXPECT_EQ(b.checkpoint_anchor, a.checkpoint_anchor);

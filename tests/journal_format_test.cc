@@ -533,8 +533,10 @@ TEST(JournalIoTest, WriterRoundTripsThroughMemorySink) {
   const auto records = SampleRecords();
   MemorySink sink;
   JournalWriter writer(&sink);
+  std::vector<uint64_t> boundaries = {0};  // [n]: bytes after n records
   for (const auto& record : records) {
     ASSERT_TRUE(writer.Append(record).ok());
+    boundaries.push_back(writer.bytes_written());
   }
   EXPECT_EQ(writer.records_appended(), records.size());
   EXPECT_EQ(writer.bytes_written(), sink.image().size());
@@ -543,8 +545,8 @@ TEST(JournalIoTest, WriterRoundTripsThroughMemorySink) {
   ASSERT_TRUE(scanned.ok());
   EXPECT_EQ(scanned->size(), records.size());
   // Record boundaries bracket the image.
-  EXPECT_EQ(writer.boundary(0), 0u);
-  EXPECT_EQ(writer.boundary(records.size()), sink.image().size());
+  EXPECT_EQ(boundaries[0], 0u);
+  EXPECT_EQ(boundaries[records.size()], sink.image().size());
 }
 
 TEST(JournalIoTest, WriterRoundTripsThroughFileSink) {
@@ -575,11 +577,13 @@ TEST(JournalIoTest, CrashAtRecordDropsSuffix) {
   const auto records = SampleRecords();
   MemorySink sink;
   JournalWriter writer(&sink);
+  std::vector<uint64_t> boundaries = {0};  // [n]: bytes after n records
   for (const auto& record : records) {
     ASSERT_TRUE(writer.Append(record).ok());
+    boundaries.push_back(writer.bytes_written());
   }
   for (size_t crash = 0; crash <= records.size(); ++crash) {
-    const std::string crashed = sink.image().substr(0, writer.boundary(crash));
+    const std::string crashed = sink.image().substr(0, boundaries[crash]);
     RecoveryReport report;
     StatusOr<Journal> scanned = ScanJournalImage(crashed, &report);
     ASSERT_TRUE(scanned.ok());
@@ -594,16 +598,18 @@ TEST(JournalIoTest, TornRecordTruncatesAtRecovery) {
   const auto records = SampleRecords();
   MemorySink sink;
   JournalWriter writer(&sink);
+  std::vector<uint64_t> boundaries = {0};  // [n]: bytes after n records
   for (const auto& record : records) {
     ASSERT_TRUE(writer.Append(record).ok());
+    boundaries.push_back(writer.bytes_written());
   }
   for (size_t torn = 0; torn < records.size(); ++torn) {
     const size_t encoded_size = EncodeCommitRecord(records[torn]).size();
-    ASSERT_EQ(writer.boundary(torn + 1) - writer.boundary(torn), encoded_size);
+    ASSERT_EQ(boundaries[torn + 1] - boundaries[torn], encoded_size);
     for (size_t keep : {size_t{1}, kJournalFrameHeaderSize - 1,
                         kJournalFrameHeaderSize + 1, encoded_size - 1}) {
       const std::string crashed =
-          sink.image().substr(0, writer.boundary(torn) + keep);
+          sink.image().substr(0, boundaries[torn] + keep);
       RecoveryReport report;
       StatusOr<Journal> scanned = ScanJournalImage(crashed, &report);
       ASSERT_TRUE(scanned.ok()) << "torn " << torn << " keep " << keep;

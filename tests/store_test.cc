@@ -21,15 +21,12 @@
 #include <thread>
 #include <vector>
 
-#ifndef _WIN32
-#include <unistd.h>
-#endif
-
 #include "adt/bank_account.h"
 #include "adt/counter.h"
 #include "adt/int_set.h"
 #include "common/random.h"
 #include "common/temp_path.h"
+#include "engine/engine.h"
 #include "sim/crash_harness.h"
 #include "store/log_store.h"
 #include "store/mem_store.h"
@@ -43,28 +40,6 @@
 
 namespace ccr {
 namespace {
-
-// Honors TMPDIR (sandboxed runners point it off /tmp).
-class TempDir {
- public:
-  TempDir() {
-    path_ = MakeTempDir("ccr_store_test_");
-    CCR_CHECK(!path_.empty());
-  }
-  ~TempDir() {
-    if (StatusOr<std::vector<std::string>> names = ListDir(path_);
-        names.ok()) {
-      for (const std::string& name : *names) {
-        std::remove((path_ + "/" + name).c_str());
-      }
-    }
-    ::rmdir(path_.c_str());
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 Status PutOne(ObjectStore* store, const std::string& key,
               const std::string& value,
@@ -426,7 +401,7 @@ Invocation ReadInv(const ObjectId& id) {
 
 // A manager journaling to an in-memory Journal, with a MemObjectStore
 // attached: the smallest world where eviction, fault-in, store
-// checkpoints, and Restart(journal) all compose.
+// checkpoints, and a restart from the journal's image all compose.
 struct StoreWorld {
   TempDir dir;  // checkpointer home (unused unless also_write_file)
   MemObjectStore store;
@@ -763,7 +738,8 @@ TEST(EvictionTest, FuzzyCheckpointSkipsEvictedObjectsButRestartSeesThem) {
   TxnManager restarted;
   RegisterCounterFactory(&restarted);
   restarted.set_object_store(&world.store);
-  ASSERT_TRUE(restarted.Restart(world.journal).ok());
+  ASSERT_TRUE(
+      restarted.RestartFromImage(EncodeJournalImage(world.journal)).ok());
   ASSERT_NE(restarted.object("D1"), nullptr);
   ASSERT_NE(restarted.object("D2"), nullptr);
   EXPECT_TRUE(restarted.object("D1")->CommittedState()->Equals(
@@ -787,7 +763,8 @@ TEST(EvictionTest, RestartReconcilesDroppedKeyAfterLostDelete) {
   TxnManager restarted;
   RegisterCounterFactory(&restarted);
   restarted.set_object_store(&world.store);
-  ASSERT_TRUE(restarted.Restart(world.journal).ok());
+  ASSERT_TRUE(
+      restarted.RestartFromImage(EncodeJournalImage(world.journal)).ok());
   EXPECT_EQ(restarted.object("D1"), nullptr);
   EXPECT_EQ(world.store.Get(StoreObjectKey("D1")).status().code(),
             StatusCode::kNotFound)
@@ -798,36 +775,28 @@ TEST(EvictionTest, RestartReconcilesDroppedKeyAfterLostDelete) {
 // Store-preferring and lazy restarts from a journal directory
 // ---------------------------------------------------------------------------
 
-// A durable world: segmented journal + log-structured store sharing one
-// directory, counter factory registered.
+// A durable world: an engine whose segmented journal and log-structured
+// store share one directory, counter factory registered.
 struct DurableWorld {
-  TempDir dir;
-  std::unique_ptr<LogStructuredStore> store;
-  TxnManager manager;
-  Journal journal;
-  std::unique_ptr<SegmentedFileSink> sink;
-  std::unique_ptr<JournalWriter> writer;
-  std::unique_ptr<GroupCommitPipeline> pipeline;
-
-  DurableWorld() {
-    RegisterCounterFactory(&manager);
-    StatusOr<std::unique_ptr<LogStructuredStore>> opened_store =
-        LogStructuredStore::Open(dir.path());
-    CCR_CHECK(opened_store.ok());
-    store = std::move(*opened_store);
-    manager.set_object_store(store.get());
-    SegmentedSinkOptions options;
-    options.max_segment_bytes = 256;
-    StatusOr<std::unique_ptr<SegmentedFileSink>> opened =
-        SegmentedFileSink::Open(dir.path(), 1, options);
-    CCR_CHECK(opened.ok());
-    sink = std::move(*opened);
-    writer = std::make_unique<JournalWriter>(sink.get());
-    pipeline = std::make_unique<GroupCommitPipeline>(
-        writer.get(), GroupCommitOptions{DurabilityMode::kSync});
-    journal.set_pipeline(pipeline.get());
-    manager.set_lifecycle_journal(&journal);
+  static EngineOptions Options() {
+    EngineOptions options;
+    options.group_commit.mode = DurabilityMode::kSync;
+    options.journal.max_segment_bytes = 256;
+    options.store = LogStoreOptions{};
+    return options;
   }
+  // Opens (restarts) the world's directory; the open must succeed.
+  static std::unique_ptr<Engine> Open(const std::string& dir,
+                                      EngineOptions options = Options()) {
+    StatusOr<std::unique_ptr<Engine>> engine =
+        Engine::Open(dir, std::move(options), RegisterCounterFactory);
+    CCR_CHECK_MSG(engine.ok(), "%s", engine.status().ToString().c_str());
+    return std::move(*engine);
+  }
+
+  TempDir dir;
+  std::unique_ptr<Engine> engine = Open(dir.path());
+  TxnManager& manager = *engine->manager();
 
   Status Inc(const std::string& id, int64_t amount) {
     return manager.RunTransaction([&](Transaction* txn) {
@@ -844,12 +813,8 @@ TEST(StoreRestartTest, RestartFromDirPrefersStoreCheckpoint) {
   for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(world.Inc("C" + std::to_string(i), i + 1).ok());
   }
-  Checkpointer checkpointer(
-      world.dir.path(), CheckpointerOptions{2, nullptr, world.store.get()});
-  const Lsn anchor = world.journal.high_lsn();
-  StatusOr<Lsn> written = checkpointer.Write(&world.manager, anchor);
-  ASSERT_TRUE(written.ok()) << written.status().ToString();
-  ASSERT_TRUE(world.sink->TruncateBelow(anchor).ok());
+  const StatusOr<Lsn> anchor = world.engine->Checkpoint();
+  ASSERT_TRUE(anchor.ok()) << anchor.status().ToString();
   ASSERT_TRUE(world.Inc("C0", 100).ok());  // tail past the anchor
 
   StatusOr<std::unique_ptr<LogStructuredStore>> store2 =
@@ -862,9 +827,9 @@ TEST(StoreRestartTest, RestartFromDirPrefersStoreCheckpoint) {
       restarted.RestartFromDir(world.dir.path());
   ASSERT_TRUE(summary.ok()) << summary.status().ToString();
   EXPECT_TRUE(summary->from_store);
-  EXPECT_EQ(summary->checkpoint_anchor, anchor);
+  EXPECT_EQ(summary->checkpoint_anchor, *anchor);
   EXPECT_EQ(summary->checkpoint_objects, 6u);
-  EXPECT_EQ(summary->high_lsn, world.journal.high_lsn());
+  EXPECT_EQ(summary->high_lsn, world.engine->journal()->high_lsn());
   for (int i = 0; i < 6; ++i) {
     const std::string id = "C" + std::to_string(i);
     ASSERT_NE(restarted.object(id), nullptr) << id;
@@ -879,43 +844,34 @@ TEST(StoreRestartTest, LazyStoreInstallDefersUntouchedObjects) {
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(world.Inc("C" + std::to_string(i), 10 + i).ok());
   }
-  Checkpointer checkpointer(
-      world.dir.path(), CheckpointerOptions{2, nullptr, world.store.get()});
-  const Lsn anchor = world.journal.high_lsn();
-  ASSERT_TRUE(checkpointer.Write(&world.manager, anchor).ok());
-  ASSERT_TRUE(world.sink->TruncateBelow(anchor).ok());
+  ASSERT_TRUE(world.engine->Checkpoint().ok());
   // The tail names only C0: everything else stays deferred in the store.
   ASSERT_TRUE(world.Inc("C0", 1).ok());
+  const std::unique_ptr<SpecState> c3_state =
+      world.manager.object("C3")->CommittedState();
+  world.engine.reset();
 
-  StatusOr<std::unique_ptr<LogStructuredStore>> store2 =
-      LogStructuredStore::Open(world.dir.path());
-  ASSERT_TRUE(store2.ok());
-  TxnManager restarted;
-  RegisterCounterFactory(&restarted);
-  restarted.set_object_store(store2->get());
-  RestartOptions options;
-  options.lazy_store_install = true;
-  StatusOr<RestartSummary> summary =
-      restarted.RestartFromDir(world.dir.path(), options);
-  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
-  EXPECT_TRUE(summary->from_store);
-  EXPECT_EQ(summary->store_deferred, 7u);
-  EXPECT_EQ(summary->checkpoint_objects, 1u);  // only C0 materialized
+  EngineOptions options = DurableWorld::Options();
+  options.restart.lazy_store_install = true;
+  const std::unique_ptr<Engine> engine =
+      DurableWorld::Open(world.dir.path(), std::move(options));
+  TxnManager& restarted = *engine->manager();
+  const RestartSummary& summary = engine->restart();
+  EXPECT_TRUE(summary.from_store);
+  EXPECT_EQ(summary.store_deferred, 7u);
+  EXPECT_EQ(summary.checkpoint_objects, 1u);  // only C0 materialized
   ASSERT_NE(restarted.object("C0"), nullptr);
   EXPECT_EQ(restarted.object("C3"), nullptr)
       << "deferred object entered the directory at restart";
 
   // First touch faults a deferred object in — through GetOrCreate (no new
   // create record: the store image IS the object) and through Execute.
-  Journal journal2;
-  journal2.set_base_lsn(summary->high_lsn);
-  restarted.set_lifecycle_journal(&journal2);
   StatusOr<AtomicObject*> c3 =
       restarted.GetOrCreate("C3", kCounterFactory);
   ASSERT_TRUE(c3.ok()) << c3.status().ToString();
-  EXPECT_EQ(journal2.size(), 0u) << "fault-in journaled a create record";
-  EXPECT_TRUE((*c3)->CommittedState()->Equals(
-      *world.manager.object("C3")->CommittedState()));
+  EXPECT_EQ(engine->journal()->size(), 0u)
+      << "fault-in journaled a create record";
+  EXPECT_TRUE((*c3)->CommittedState()->Equals(*c3_state));
   int64_t c5 = 0;
   ASSERT_TRUE(restarted
                   .RunTransaction([&](Transaction* txn) {
@@ -941,20 +897,20 @@ TEST(StoreCheckpointTest, BatchSkipsObjectEvictedDuringTheWalk) {
   ASSERT_TRUE(world.Inc("D1", 4).ok());
 
   CheckpointerOptions options;
-  options.store = world.store.get();
+  options.store = world.engine->store();
   options.after_walk = [&world] {
     ASSERT_TRUE(world.Inc("D1", 2).ok());
     ASSERT_TRUE(world.manager.EvictObject("D1").ok());
   };
   Checkpointer checkpointer(world.dir.path(), options);
-  const StatusOr<Lsn> anchor =
-      checkpointer.Write(&world.manager, world.journal.high_lsn());
+  const StatusOr<Lsn> anchor = checkpointer.Write(
+      &world.manager, world.engine->journal()->high_lsn());
   ASSERT_TRUE(anchor.ok()) << anchor.status().ToString();
 
   AtomicObject* obj = world.manager.object("D1");
   ASSERT_NE(obj, nullptr);
   ASSERT_TRUE(obj->evicted());
-  StatusOr<std::string> img = world.store->Get(StoreObjectKey("D1"));
+  StatusOr<std::string> img = world.engine->store()->Get(StoreObjectKey("D1"));
   ASSERT_TRUE(img.ok()) << img.status().ToString();
   StatusOr<CheckpointImage::ObjectEntry> entry = DecodeStoreObjectValue(*img);
   ASSERT_TRUE(entry.ok());

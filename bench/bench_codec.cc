@@ -2,7 +2,8 @@
 //
 // CODEC: the durable text codecs restart pays for, per unit and free of
 // core count — ns per journal record for DecodeEntryPayload /
-// EncodeEntryPayload (1-, 2- and 8-op commit records and a create record),
+// EncodeEntryPayload and for EncodeEntryRecord, the framed record every
+// append encodes once (1-, 2- and 8-op commit records and a create record),
 // ns per object for DecodeCheckpointPayload on a 16,384-object image, and
 // FrameBlob + CRC32C per KiB. One iteration is one record (the Time column
 // is ns/record) except for the checkpoint image (see per_object) and the
@@ -87,6 +88,19 @@ void BM_EncodeEntryPayload(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EncodeEntryPayload)->Apply(EntryArgs);
+
+// The whole frame an append encodes: payload, length and CRC32C.
+void BM_EncodeEntryRecord(benchmark::State& state) {
+  const std::vector<Journal::Entry> pool = EntryPool(state);
+  size_t i = 0;
+  for (auto _ : state) {
+    std::string frame = EncodeEntryRecord(pool[i++ % kPool]);
+    benchmark::DoNotOptimize(frame.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EncodeEntryRecord)->Apply(EntryArgs);
 
 void BM_DecodeEntryPayload(benchmark::State& state) {
   std::vector<std::string> payloads;

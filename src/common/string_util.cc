@@ -90,6 +90,14 @@ void AppendEscaped(std::string* out, std::string_view raw) {
   out->append(raw.data() + clean, raw.size() - clean);
 }
 
+size_t EscapedSize(std::string_view raw) {
+  size_t size = raw.size();
+  for (const char c : raw) {
+    if (NeedsEscape(c)) size += 2;  // one byte becomes %hh
+  }
+  return size;
+}
+
 std::string EscapeToken(std::string_view raw) {
   if (raw.empty()) return "%";  // lone '%': the empty-string sentinel
   std::string out;

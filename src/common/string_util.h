@@ -13,6 +13,7 @@
 #include <string>
 #include <string_view>
 #include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "common/status.h"
@@ -61,6 +62,23 @@ void AppendDecimal(std::string* out, Int v) {
   out->append(buf, ptr);
 }
 
+// The byte count AppendDecimal(out, v) appends, counted without rendering
+// the digits (a sizing pass runs before every journal record's encode).
+template <typename Int>
+size_t DecimalSize(Int v) {
+  using Unsigned = std::make_unsigned_t<Int>;
+  size_t size = 1;
+  Unsigned magnitude = static_cast<Unsigned>(v);
+  if constexpr (std::is_signed_v<Int>) {
+    if (v < 0) {
+      magnitude = Unsigned{0} - magnitude;  // exact for the minimum too
+      ++size;                               // the '-'
+    }
+  }
+  for (; magnitude >= 10; magnitude /= 10) ++size;
+  return size;
+}
+
 // Percent-escapes a raw byte string into a single space-free, newline-free,
 // control-byte-free token (used for KV keys, wire strings and journaled
 // string literals). Empty strings encode to the sentinel "%"; '%', space,
@@ -73,6 +91,9 @@ StatusOr<std::string> UnescapeToken(std::string_view token);
 // EscapeToken's byte escaping appended to `*out`, without the empty-string
 // sentinel: an empty `raw` appends nothing.
 void AppendEscaped(std::string* out, std::string_view raw);
+
+// The byte count AppendEscaped(out, raw) appends.
+size_t EscapedSize(std::string_view raw);
 
 // Renders rows as a fixed-width table with a header row and a separator
 // line, e.g. for the Figure 6-1 / 6-2 commutativity matrices.

@@ -156,8 +156,9 @@ struct CheckpointerOptions {
   bool also_write_file = false;
   // Test-only: runs after the snapshot walk and before the image is
   // published — the window where commits, evictions, and drops race a
-  // fuzzy checkpoint. Production callers leave it unset.
-  std::function<void()> after_walk;
+  // fuzzy checkpoint. Production callers leave it unset. (Value-initialized
+  // like every other member, so an aggregate initializer may omit it.)
+  std::function<void()> after_walk{};
 };
 
 // Writes and loads checkpoint images in a journal directory.

@@ -35,7 +35,7 @@ GroupCommitPipeline::~GroupCommitPipeline() {
   if (flusher_.joinable()) flusher_.join();
 }
 
-StatusOr<Lsn> GroupCommitPipeline::Sequence(Journal::Entry entry) {
+StatusOr<Lsn> GroupCommitPipeline::Sequence(std::string frame) {
   std::unique_lock<std::mutex> lk(mu_);
   if (failed_.load(std::memory_order_relaxed)) return failure_;
   const Lsn lsn = next_lsn_++;
@@ -43,7 +43,8 @@ StatusOr<Lsn> GroupCommitPipeline::Sequence(Journal::Entry entry) {
   if (options_.mode == DurabilityMode::kSync) {
     // Baseline: the durability point stays inside the caller's critical
     // section — append + fdatasync per record, ack-ready on return.
-    const Status s = writer_->Append(entry);
+    Status s = writer_->Append(frame);
+    if (s.ok()) s = writer_->Sync();
     if (!s.ok()) {
       Fail(lk, "append+sync", s);
       return lsn;
@@ -55,7 +56,7 @@ StatusOr<Lsn> GroupCommitPipeline::Sequence(Journal::Entry entry) {
     durable_lsn_.store(lsn, std::memory_order_release);
     return lsn;
   }
-  queue_.push_back(std::move(entry));
+  queue_.push_back(std::move(frame));
   lk.unlock();
   work_cv_.notify_one();
   return lsn;
@@ -182,7 +183,7 @@ void GroupCommitPipeline::FlusherLoop() {
     // Take up to max_batch records; anything beyond flushes next cycle
     // (immediately — the queue is non-empty, so the wait above falls
     // through).
-    std::deque<Journal::Entry> batch;
+    std::deque<std::string> batch;
     const size_t take = std::min(queue_.size(), options_.max_batch);
     for (size_t i = 0; i < take; ++i) {
       batch.push_back(std::move(queue_.front()));
@@ -196,15 +197,15 @@ void GroupCommitPipeline::FlusherLoop() {
   }
 }
 
-void GroupCommitPipeline::FlushBatch(std::deque<Journal::Entry>* batch,
+void GroupCommitPipeline::FlushBatch(std::deque<std::string>* batch,
                                      Lsn high) {
-  // Encode + append off the lock: sequencers keep enqueueing (and object
-  // critical sections keep draining) while this batch hits the disk. The
-  // first failure ends the batch: no sync follows a failed append.
+  // Append off the lock: sequencers keep enqueueing (and object critical
+  // sections keep draining) while this batch hits the disk. The first
+  // failure ends the batch: no sync follows a failed append.
   Status s;
   const char* what = "append";
-  for (const Journal::Entry& entry : *batch) {
-    s = writer_->AppendNoSync(entry);
+  for (const std::string& frame : *batch) {
+    s = writer_->Append(frame);
     if (!s.ok()) break;
   }
   if (s.ok()) {

@@ -15,9 +15,10 @@
 //     early lock release.
 //   * FLUSH (background thread, no object locks): the flusher drains the
 //     queue in batches (up to max_batch records, lingering up to
-//     max_delay_us for stragglers), encodes and appends the frames, issues
-//     ONE fdatasync for the whole batch, then advances the durable-LSN
-//     watermark and wakes blocked committers.
+//     max_delay_us for stragglers), appends the frames the committers
+//     already encoded (one sink append each), issues ONE fdatasync for the
+//     whole batch, then advances the durable-LSN watermark and wakes
+//     blocked committers. It encodes nothing.
 //
 // TxnManager::Commit acknowledges a transaction only once its highest LSN
 // is durable (WaitDurable), so the ack contract is unchanged: an
@@ -39,9 +40,10 @@
 // abort, which the recovery theory already covers.
 //
 // Modes:
-//   kSync    — per-record append+fdatasync inline in Sequence (inside the
-//              object critical section). The engine's only per-record-sync
-//              path, and the bench baseline.
+//   kSync    — per-record append+fdatasync of the already-encoded frame
+//              inline in Sequence (inside the object critical section).
+//              The engine's only per-record-sync path, and the bench
+//              baseline.
 //   kGroup   — the pipeline described above; ack waits for the watermark.
 //   kRelaxed — sequence and ack immediately; the flusher still makes the
 //              log durable in the background, but an acknowledged commit
@@ -64,6 +66,7 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -130,14 +133,16 @@ class GroupCommitPipeline {
   DurabilityMode mode() const { return options_.mode; }
   Lsn first_lsn() const { return options_.first_lsn; }
 
-  // Sequences one journal entry (commit or lifecycle record): assigns the
-  // next LSN and either appends+syncs inline (kSync) or enqueues it for
-  // the flusher (kGroup/kRelaxed). Called under the journal mutex
-  // (Journal::AppendCommit/AppendLifecycle forward), which is what makes
-  // the LSN order equal the journal's entry order. A poisoned pipeline
-  // refuses the entry with its failure. (A kSync entry whose own inline
-  // write fails keeps its LSN; its committer learns from WaitDurable.)
-  StatusOr<Lsn> Sequence(Journal::Entry entry);
+  // Sequences one journal record's encoded frame (EncodeEntryRecord; the
+  // appending thread encoded it before taking the journal mutex): assigns
+  // the next LSN and either appends+syncs the bytes inline (kSync) or
+  // enqueues them for the flusher (kGroup/kRelaxed). Called under the
+  // journal mutex (Journal::AppendCommit/AppendLifecycle forward), which
+  // is what makes the LSN order equal the journal's record order. A
+  // poisoned pipeline refuses the record with its failure. (A kSync record
+  // whose own inline write fails keeps its LSN; its committer learns from
+  // WaitDurable.)
+  StatusOr<Lsn> Sequence(std::string frame);
 
   // The acknowledgment point: blocks until `lsn` is durable (kGroup);
   // returns at once in kSync (already durable) and kRelaxed (ack is
@@ -196,7 +201,7 @@ class GroupCommitPipeline {
   void FlusherLoop();
   // Appends `batch` to the writer, issues one sync, advances the watermark
   // to `high`, and wakes committers. Called with mu_ released.
-  void FlushBatch(std::deque<Journal::Entry>* batch, Lsn high);
+  void FlushBatch(std::deque<std::string>* batch, Lsn high);
   // Poisons the pipeline with the sink's failure `s` at step `what` (`lk`
   // holds mu_), drops the queue, then — with `lk` released — wakes every
   // waiter and fails every pending ack, in LSN order.
@@ -209,7 +214,7 @@ class GroupCommitPipeline {
   mutable std::mutex mu_;
   std::condition_variable work_cv_;     // flusher waits for records / stop
   std::condition_variable durable_cv_;  // committers wait for the watermark
-  std::deque<Journal::Entry> queue_;  // sequenced, not yet flushed
+  std::deque<std::string> queue_;  // sequenced frames, not yet flushed
   size_t waiters_ = 0;  // threads blocked on the watermark (cuts the linger)
   // Deferred OnDurable callbacks, a min-heap on lsn (std::push_heap with a
   // greater-than comparator). Invariant: every pending lsn is above the

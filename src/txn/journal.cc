@@ -2,41 +2,78 @@
 
 #include "txn/journal.h"
 
+#include <algorithm>
+
 #include "common/macros.h"
 #include "txn/group_commit.h"
+#include "txn/journal_format.h"
 
 namespace ccr {
+namespace {
+
+// The view's chunk sizes: the first is small, so an empty or short journal
+// stays small, and each next one doubles up to the cap, so a long journal
+// leaves at most one partly filled chunk. A frame larger than the cap gets
+// a chunk of its own size.
+constexpr size_t kFirstChunkBytes = size_t{4} << 10;
+constexpr size_t kMaxChunkBytes = size_t{256} << 10;
+
+}  // namespace
+
+Journal::Journal(const std::vector<CommitRecord>& records) {
+  for (const CommitRecord& record : records) {
+    KeepLocked(EncodeCommitRecord(record));
+  }
+}
+
+Journal::Journal(const std::vector<Entry>& entries) {
+  for (const Entry& entry : entries) KeepLocked(EncodeEntryRecord(entry));
+}
+
+Journal::Journal(std::string frames, size_t count) : size_(count) {
+  if (!frames.empty()) chunks_.push_back(std::move(frames));
+}
 
 void Journal::set_pipeline(GroupCommitPipeline* pipeline) {
   std::lock_guard<std::mutex> lock(mu_);
   pipeline_ = pipeline;
   if (pipeline == nullptr) return;
-  CCR_CHECK_MSG(entries_.empty(),
+  CCR_CHECK_MSG(size_ == 0,
                 "pipeline attached to a journal that already has records");
   base_lsn_ = pipeline->first_lsn() - 1;
 }
 
 Lsn Journal::high_lsn() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return base_lsn_ + static_cast<Lsn>(entries_.size());
+  return base_lsn_ + static_cast<Lsn>(size_);
 }
 
-StatusOr<Lsn> Journal::AppendEntry(Entry entry) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (pipeline_ == nullptr) {
-    entries_.push_back(std::move(entry));
-    return kNoLsn;
+void Journal::KeepLocked(std::string_view frame) {
+  if (chunks_.empty() ||
+      chunks_.back().capacity() - chunks_.back().size() < frame.size()) {
+    const size_t grown =
+        chunks_.empty() ? kFirstChunkBytes
+                        : std::clamp(2 * chunks_.back().capacity(),
+                                     kFirstChunkBytes, kMaxChunkBytes);
+    chunks_.emplace_back().reserve(std::max(grown, frame.size()));
   }
-  // Copy into the volatile view (a copy is sized to fit; the original's
-  // vectors may carry growth slack, and the view keeps every entry), hand
-  // the original to the pipeline. Called under the journal mutex, so the
-  // pipeline's LSN order equals entries_ order (the pipeline's counter is
-  // asserted against ours). A record the pipeline refuses leaves the view.
-  const Lsn lsn = base_lsn_ + static_cast<Lsn>(entries_.size()) + 1;
-  entries_.push_back(entry);
-  const StatusOr<Lsn> sequenced = pipeline_->Sequence(std::move(entry));
+  chunks_.back().append(frame);
+  ++size_;
+}
+
+StatusOr<Lsn> Journal::AppendFrame(std::string frame) {
+  std::lock_guard<std::mutex> lock(mu_);
+  KeepLocked(frame);
+  if (pipeline_ == nullptr) return kNoLsn;
+  // Sequenced under the journal mutex, so the pipeline's LSN order is the
+  // view's order (the pipeline's counter is asserted against ours). A
+  // record the pipeline refuses is cut back off the view.
+  const Lsn lsn = base_lsn_ + static_cast<Lsn>(size_);
+  const size_t bytes = frame.size();
+  const StatusOr<Lsn> sequenced = pipeline_->Sequence(std::move(frame));
   if (!sequenced.ok()) {
-    entries_.pop_back();
+    chunks_.back().resize(chunks_.back().size() - bytes);
+    --size_;
     return sequenced.status();
   }
   CCR_CHECK_MSG(*sequenced == lsn,
@@ -47,56 +84,87 @@ StatusOr<Lsn> Journal::AppendEntry(Entry entry) {
   return lsn;
 }
 
+// Both appends encode on the calling thread, before the journal mutex.
 StatusOr<Lsn> Journal::AppendCommit(TxnId txn, OpSeq ops) {
-  return AppendEntry(Entry::Commit(txn, std::move(ops)));
+  return AppendFrame(EncodeCommitRecord(CommitRecord{txn, std::move(ops)}));
 }
 
 StatusOr<Lsn> Journal::AppendLifecycle(LifecycleRecord record) {
-  return AppendEntry(Entry::Lifecycle(std::move(record)));
+  return AppendFrame(EncodeEntryRecord(Entry::Lifecycle(std::move(record))));
+}
+
+void Journal::ForEachEntryLocked(
+    const std::function<void(Entry&&)>& fn) const {
+  for (const std::string& chunk : chunks_) {
+    RecoveryReport report;
+    const Status s = ForEachJournalEntry(
+        chunk, /*after_lsn=*/0,
+        [&fn](Lsn, Entry&& entry) {
+          fn(std::move(entry));
+          return Status::OK();
+        },
+        &report);
+    CCR_CHECK_MSG(s.ok() && !report.corrupt_tail,
+                  "journal view failed to decode: %s %s",
+                  s.ToString().c_str(), report.ToString().c_str());
+  }
 }
 
 std::vector<Journal::CommitRecord> Journal::Records() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<CommitRecord> records;
-  records.reserve(entries_.size());
-  for (const Entry& entry : entries_) {
-    if (!entry.is_lifecycle) records.push_back(entry.commit);
-  }
+  records.reserve(size_);
+  ForEachEntryLocked([&records](Entry&& entry) {
+    if (!entry.is_lifecycle) records.push_back(std::move(entry.commit));
+  });
   return records;
 }
 
 std::vector<Journal::Entry> Journal::Entries() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return entries_;
+  std::vector<Entry> entries;
+  entries.reserve(size_);
+  ForEachEntryLocked(
+      [&entries](Entry&& entry) { entries.push_back(std::move(entry)); });
+  return entries;
 }
 
 void Journal::ForEachRecord(
     const std::function<void(const CommitRecord&)>& fn) const {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const Entry& entry : entries_) {
+  ForEachEntryLocked([&fn](Entry&& entry) {
     if (!entry.is_lifecycle) fn(entry.commit);
-  }
+  });
 }
 
 size_t Journal::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
+  return size_;
 }
 
 Journal Journal::Prefix(size_t n) const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Entry> kept;
-  for (size_t i = 0; i < n && i < entries_.size(); ++i) {
-    kept.push_back(entries_[i]);
+  std::string frames;
+  size_t kept = 0;
+  for (const std::string& chunk : chunks_) {
+    size_t end = 0;
+    while (kept < n && end < chunk.size()) {
+      uint32_t len = 0;
+      CCR_CHECK(IntactJournalFrameAt(chunk, end, &len));
+      end += kJournalFrameHeaderSize + len;
+      ++kept;
+    }
+    frames.append(chunk, 0, end);
+    if (kept == n) break;
   }
-  return Journal(std::move(kept));
+  return Journal(std::move(frames), kept);
 }
 
 std::unique_ptr<SpecState> RecoverState(const Adt& adt,
                                         const Journal& journal) {
   std::unique_ptr<SpecState> state = adt.spec().InitialState();
   // Visitation, not Records(): the crash-at-every-prefix audits call this
-  // per prefix, and a deep copy per call made them O(n²) in journal bytes.
+  // per prefix, and materializing every record per call made them O(n²).
   journal.ForEachRecord([&](const Journal::CommitRecord& record) {
     for (const Operation& op : record.ops) {
       auto nexts = adt.spec().Next(*state, op);

@@ -20,11 +20,14 @@
 // i.e., the abort-recovery theory is what makes this crash recovery
 // correct, which is the interaction the paper is about.
 //
-// The in-memory record vector is the volatile view (it dies with the
-// process in a simulated crash). Durability has one path: attaching a
-// GroupCommitPipeline (set_pipeline) streams every entry to a durable byte
-// sink in the checksummed frame format of journal_format.h — synced per
-// record in the pipeline's kSync mode, per batch in kGroup. Crash recovery
+// Each record is encoded once, by the appending thread before it takes the
+// journal mutex, into the checksummed frame of journal_format.h. The
+// journal keeps those frame bytes as its volatile view (it dies with the
+// process in a simulated crash), packed into chunks; the readers below
+// decode them on demand. Durability has one path: attaching a
+// GroupCommitPipeline (set_pipeline) hands every frame to a durable byte
+// sink — synced per record in the pipeline's kSync mode, per batch in
+// kGroup — so the sink receives exactly the view's bytes. Crash recovery
 // reads the entries back from either of two sources — a crash image or a
 // segmented directory — through one restart driver
 // (TxnManager::RestartFromImage / RestartFromDir).
@@ -34,6 +37,9 @@
 
 #include <functional>
 #include <mutex>
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -43,6 +49,7 @@
 namespace ccr {
 
 class GroupCommitPipeline;
+struct RecoveryReport;
 
 // Log sequence number: the 1-based position of a commit record in the
 // shared journal. LSNs are assigned under the journal mutex, so LSN order
@@ -96,24 +103,17 @@ class Journal {
 
   Journal() = default;
 
-  // A journal holding the given commit records (used by tests that
-  // construct crash images directly).
-  explicit Journal(std::vector<CommitRecord> records) {
-    entries_.reserve(records.size());
-    for (CommitRecord& r : records) entries_.push_back(Entry::Commit(r.txn, std::move(r.ops)));
-  }
-
-  // A journal holding the given entries (used by Prefix and ScanJournalImage).
-  explicit Journal(std::vector<Entry> entries) : entries_(std::move(entries)) {}
+  // A journal holding the given commit records or entries (used by tests
+  // and audits that construct crash images directly).
+  explicit Journal(const std::vector<CommitRecord>& records);
+  explicit Journal(const std::vector<Entry>& entries);
 
   // Movable so StatusOr<Journal> works (ScanJournalImage). The mutex is
   // not moved — the source must be quiescent, which recovery-time use is.
-  Journal(Journal&& other) noexcept
-      : entries_(std::move(other.entries_)),
-        base_lsn_(other.base_lsn_),
-        pipeline_(other.pipeline_) {}
+  Journal(Journal&& other) noexcept { *this = std::move(other); }
   Journal& operator=(Journal&& other) noexcept {
-    entries_ = std::move(other.entries_);
+    chunks_ = std::move(other.chunks_);
+    size_ = std::exchange(other.size_, 0);
     base_lsn_ = other.base_lsn_;
     pipeline_ = other.pipeline_;
     return *this;
@@ -131,13 +131,13 @@ class Journal {
   // (volatile-only again).
   void set_pipeline(GroupCommitPipeline* pipeline);
 
-  // Highest LSN assigned so far (base + in-memory record count) — the
-  // anchor a fuzzy checkpoint captures before walking objects.
+  // Highest LSN assigned so far (base + record count) — the anchor a
+  // fuzzy checkpoint captures before walking objects.
   Lsn high_lsn() const;
 
   // Appends one atomic commit record and returns its LSN (kNoLsn when the
-  // journal is volatile-only — no pipeline attached; the in-memory record
-  // is still kept). The record is durable only once the pipeline's
+  // journal is volatile-only — no pipeline attached; the record's frame is
+  // still kept). The record is durable only once the pipeline's
   // watermark reaches the returned LSN; the transaction's ack must wait
   // for it (TxnManager::Commit does). A poisoned pipeline refuses the
   // record: its failure status is returned and nothing is kept.
@@ -149,17 +149,18 @@ class Journal {
   StatusOr<Lsn> AppendLifecycle(LifecycleRecord record);
 
   // All commit records, in commit order, lifecycle records elided.
-  // Deep-copies; prefer ForEachRecord on hot or O(n²)-prone paths
-  // (crash-at-every-prefix audits).
+  // Decodes every frame into a new vector; prefer ForEachRecord on hot or
+  // O(n²)-prone paths (crash-at-every-prefix audits).
   std::vector<CommitRecord> Records() const;
 
-  // All entries (commit + lifecycle) in LSN order. Deep-copies.
+  // All entries (commit + lifecycle) in LSN order, decoded into a new
+  // vector.
   std::vector<Entry> Entries() const;
 
-  // Visits every commit record in commit order without copying, skipping
-  // lifecycle records. The journal mutex is held for the whole visitation:
-  // `fn` must not reenter this journal or block on anything that appends
-  // to it.
+  // Visits every commit record in commit order, decoding one frame at a
+  // time, skipping lifecycle records. The journal mutex is held for the
+  // whole visitation: `fn` must not reenter this journal or block on
+  // anything that appends to it.
   void ForEachRecord(const std::function<void(const CommitRecord&)>& fn) const;
 
   // Entry count (commit + lifecycle records).
@@ -170,11 +171,29 @@ class Journal {
   Journal Prefix(size_t n) const;
 
  private:
-  // Shared append path; assigns the LSN and sequences into the pipeline.
-  StatusOr<Lsn> AppendEntry(Entry entry);
+  // Read the view's bytes as they are (journal_format.cc).
+  friend StatusOr<Journal> ScanJournalImage(std::string_view image,
+                                            RecoveryReport* report);
+  friend std::string EncodeJournalImage(const Journal& journal);
+
+  // A journal whose view is `frames`: `count` whole frames back to back.
+  Journal(std::string frames, size_t count);
+
+  // Shared append path for an encoded frame: keeps it in the view, assigns
+  // the LSN and sequences it into the pipeline.
+  StatusOr<Lsn> AppendFrame(std::string frame);
+  // Copies `frame` to the end of the view. Caller holds mu_ or owns the
+  // journal alone.
+  void KeepLocked(std::string_view frame);
+  // Decodes every entry of the view in LSN order. Caller holds mu_.
+  void ForEachEntryLocked(const std::function<void(Entry&&)>& fn) const;
 
   mutable std::mutex mu_;
-  std::vector<Entry> entries_;
+  // The view: every frame in LSN order, packed into chunks that never
+  // reallocate, so no append copies earlier bytes. A frame never spans
+  // two chunks.
+  std::vector<std::string> chunks_;
+  size_t size_ = 0;  // frames in the view
   Lsn base_lsn_ = 0;
   GroupCommitPipeline* pipeline_ = nullptr;
 };

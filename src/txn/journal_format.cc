@@ -12,11 +12,27 @@
 namespace ccr {
 namespace {
 
-void AppendLe32(std::string* out, uint32_t v) {
-  out->push_back(static_cast<char>(v & 0xff));
-  out->push_back(static_cast<char>((v >> 8) & 0xff));
-  out->push_back(static_cast<char>((v >> 16) & 0xff));
-  out->push_back(static_cast<char>((v >> 24) & 0xff));
+void StoreLe32(char* at, uint32_t v) {
+  at[0] = static_cast<char>(v & 0xff);
+  at[1] = static_cast<char>((v >> 8) & 0xff);
+  at[2] = static_cast<char>((v >> 16) & 0xff);
+  at[3] = static_cast<char>((v >> 24) & 0xff);
+}
+
+// Every frame is built here, in one buffer allocated once: a header
+// placeholder, the `payload_size` bytes `append_payload(&out)` writes,
+// then the length and the CRC32C over them filled in.
+template <typename AppendPayload>
+std::string EncodeFrame(size_t payload_size,
+                        const AppendPayload& append_payload) {
+  std::string out;
+  out.reserve(kJournalFrameHeaderSize + payload_size);
+  out.resize(kJournalFrameHeaderSize);
+  append_payload(&out);
+  const size_t len = out.size() - kJournalFrameHeaderSize;
+  StoreLe32(&out[0], static_cast<uint32_t>(len));
+  StoreLe32(&out[4], Crc32c(out.data() + kJournalFrameHeaderSize, len));
+  return out;
 }
 
 uint32_t ReadLe32(std::string_view image, size_t pos) {
@@ -57,12 +73,8 @@ bool IntactJournalFrameAfter(std::string_view image, size_t from) {
 }
 
 std::string FrameBlob(std::string_view payload) {
-  std::string out;
-  out.reserve(kJournalFrameHeaderSize + payload.size());
-  AppendLe32(&out, static_cast<uint32_t>(payload.size()));
-  AppendLe32(&out, Crc32c(payload.data(), payload.size()));
-  out.append(payload.data(), payload.size());
-  return out;
+  return EncodeFrame(payload.size(),
+                     [payload](std::string* out) { out->append(payload); });
 }
 
 StatusOr<std::string> UnframeBlob(std::string_view image) {
@@ -103,6 +115,14 @@ void AppendValueLiteral(std::string* out, const Value& value) {
   } else {
     out->append("u:");
   }
+}
+
+// The byte count AppendValueLiteral writes for `value`.
+size_t ValueLiteralSize(const Value& value) {
+  if (value.is_string()) return 2 + EscapedSize(value.AsString());
+  if (value.is_int()) return 2 + DecimalSize(value.AsInt());
+  if (value.is_bool()) return value.AsBool() ? 6 : 7;
+  return 2;
 }
 
 // Inverse of AppendValueLiteral into `*out`. The common forms (an
@@ -184,27 +204,75 @@ Status DecodeCommitInto(std::string_view payload,
   return Status::OK();
 }
 
+// The exact byte count AppendCommitPayload writes, so a record's buffer
+// is allocated once.
+size_t CommitPayloadSize(const Journal::CommitRecord& record) {
+  size_t size = 5 + DecimalSize(record.txn);  // "txn <id>\n"
+  for (const Operation& op : record.ops) {
+    // "op <object> <code> <name> <result>[ <arg>...]\n"
+    size += 3 + op.object().size() + 1 + DecimalSize(op.code()) + 1 +
+            op.name().size() + 1 + ValueLiteralSize(op.result()) + 1;
+    for (const Value& arg : op.args()) size += 1 + ValueLiteralSize(arg);
+  }
+  return size;
+}
+
+void AppendCommitPayload(std::string* out,
+                         const Journal::CommitRecord& record) {
+  out->append("txn ");
+  AppendDecimal(out, record.txn);
+  out->push_back('\n');
+  for (const Operation& op : record.ops) {
+    out->append("op ");
+    out->append(op.object());
+    out->push_back(' ');
+    AppendDecimal(out, op.code());
+    out->push_back(' ');
+    out->append(op.name());
+    out->push_back(' ');
+    AppendValueLiteral(out, op.result());
+    for (const Value& arg : op.args()) {
+      out->push_back(' ');
+      AppendValueLiteral(out, arg);
+    }
+    out->push_back('\n');
+  }
+}
+
+// The exact byte count AppendLifecyclePayload writes; refuses (fatal) a
+// record whose names the payload could not carry.
+size_t LifecyclePayloadSize(const LifecycleRecord& record) {
+  CCR_CHECK_MSG(IsJournalName(record.object),
+                "lifecycle record object id '%s' is not a journal name",
+                record.object.c_str());
+  if (record.kind == LifecycleRecord::Kind::kCreate) {
+    CCR_CHECK_MSG(IsJournalName(record.factory),
+                  "create record for '%s' needs a journal-name factory "
+                  "(got '%s')",
+                  record.object.c_str(), record.factory.c_str());
+    // "create <object> <factory>\n"
+    return 7 + record.object.size() + 1 + record.factory.size() + 1;
+  }
+  return 5 + record.object.size() + 1;  // "drop <object>\n"
+}
+
+void AppendLifecyclePayload(std::string* out, const LifecycleRecord& record) {
+  const bool create = record.kind == LifecycleRecord::Kind::kCreate;
+  out->append(create ? "create " : "drop ");
+  out->append(record.object);
+  if (create) {
+    out->push_back(' ');
+    out->append(record.factory);
+  }
+  out->push_back('\n');
+}
+
 }  // namespace
 
 std::string EncodeCommitPayload(const Journal::CommitRecord& record) {
-  std::string out = "txn ";
-  AppendDecimal(&out, record.txn);
-  out += '\n';
-  for (const Operation& op : record.ops) {
-    out += "op ";
-    out += op.object();
-    out += ' ';
-    AppendDecimal(&out, op.code());
-    out += ' ';
-    out += op.name();
-    out += ' ';
-    AppendValueLiteral(&out, op.result());
-    for (const Value& arg : op.args()) {
-      out += ' ';
-      AppendValueLiteral(&out, arg);
-    }
-    out += '\n';
-  }
+  std::string out;
+  out.reserve(CommitPayloadSize(record));
+  AppendCommitPayload(&out, record);
   return out;
 }
 
@@ -215,21 +283,16 @@ StatusOr<Journal::CommitRecord> DecodeCommitPayload(std::string_view payload) {
 }
 
 std::string EncodeCommitRecord(const Journal::CommitRecord& record) {
-  return FrameBlob(EncodeCommitPayload(record));
+  return EncodeFrame(CommitPayloadSize(record), [&record](std::string* out) {
+    AppendCommitPayload(out, record);
+  });
 }
 
 std::string EncodeLifecyclePayload(const LifecycleRecord& record) {
-  CCR_CHECK_MSG(IsJournalName(record.object),
-                "lifecycle record object id '%s' is not a journal name",
-                record.object.c_str());
-  if (record.kind == LifecycleRecord::Kind::kCreate) {
-    CCR_CHECK_MSG(IsJournalName(record.factory),
-                  "create record for '%s' needs a journal-name factory "
-                  "(got '%s')",
-                  record.object.c_str(), record.factory.c_str());
-    return "create " + record.object + ' ' + record.factory + '\n';
-  }
-  return "drop " + record.object + '\n';
+  std::string out;
+  out.reserve(LifecyclePayloadSize(record));
+  AppendLifecyclePayload(&out, record);
+  return out;
 }
 
 StatusOr<LifecycleRecord> DecodeLifecyclePayload(std::string_view payload) {
@@ -280,7 +343,11 @@ StatusOr<Journal::Entry> DecodeEntryPayload(std::string_view payload) {
 }
 
 std::string EncodeEntryRecord(const Journal::Entry& entry) {
-  return FrameBlob(EncodeEntryPayload(entry));
+  if (!entry.is_lifecycle) return EncodeCommitRecord(entry.commit);
+  const LifecycleRecord& record = entry.lifecycle;
+  return EncodeFrame(LifecyclePayloadSize(record), [&record](std::string* out) {
+    AppendLifecyclePayload(out, record);
+  });
 }
 
 std::string RecoveryReport::ToString() const {
@@ -332,22 +399,25 @@ Status ForEachJournalEntry(std::string_view image, Lsn after_lsn,
 
 StatusOr<Journal> ScanJournalImage(std::string_view image,
                                    RecoveryReport* report) {
-  std::vector<Journal::Entry> entries;
+  // The scan validates every frame (checksum and payload); the journal
+  // keeps the valid prefix's bytes as they are.
+  RecoveryReport local;
   CCR_RETURN_IF_ERROR(ForEachJournalEntry(
       image, /*after_lsn=*/0,
-      [&entries](Lsn, Journal::Entry&& entry) {
-        entries.push_back(std::move(entry));
-        return Status::OK();
-      },
-      report));
-  return Journal(std::move(entries));
+      [](Lsn, Journal::Entry&&) { return Status::OK(); }, &local));
+  if (report != nullptr) *report = local;
+  return Journal(std::string(image.substr(0, image.size() -
+                                                 local.bytes_truncated)),
+                 local.records_replayed);
 }
 
 std::string EncodeJournalImage(const Journal& journal) {
+  std::lock_guard<std::mutex> lock(journal.mu_);
+  size_t size = 0;
+  for (const std::string& chunk : journal.chunks_) size += chunk.size();
   std::string image;
-  for (const Journal::Entry& entry : journal.Entries()) {
-    image += EncodeEntryRecord(entry);
-  }
+  image.reserve(size);
+  for (const std::string& chunk : journal.chunks_) image += chunk;
   return image;
 }
 

@@ -86,7 +86,8 @@ std::string EncodeCommitPayload(const Journal::CommitRecord& record);
 // "txn 1 2" or a code with trailing bytes are refused.
 StatusOr<Journal::CommitRecord> DecodeCommitPayload(std::string_view payload);
 
-// The full framed bytes of one commit record as the writer appends them.
+// The full framed bytes of one commit record as the writer appends them,
+// encoded into one buffer allocated once at its final size.
 std::string EncodeCommitRecord(const Journal::CommitRecord& record);
 
 // The textual payload of one object-lifecycle record:
@@ -104,8 +105,8 @@ std::string EncodeLifecyclePayload(const LifecycleRecord& record);
 StatusOr<LifecycleRecord> DecodeLifecyclePayload(std::string_view payload);
 
 // The textual payload of one journal entry (commit or lifecycle) and its
-// framed bytes. Decode dispatches on the payload's first token ("txn",
-// "create", "drop").
+// framed bytes (one buffer, as EncodeCommitRecord). Decode dispatches on
+// the payload's first token ("txn", "create", "drop").
 std::string EncodeEntryPayload(const Journal::Entry& entry);
 StatusOr<Journal::Entry> DecodeEntryPayload(std::string_view payload);
 std::string EncodeEntryRecord(const Journal::Entry& entry);
@@ -145,13 +146,14 @@ Status ForEachJournalEntry(std::string_view image, Lsn after_lsn,
 // prefix as an in-memory Journal, applying the torn-tail truncation rule
 // above. `report` (optional) receives what happened. Mid-journal
 // corruption — an intact record after a damaged one — returns kInternal.
-// (Materializes every record; restart paths stream with
-// ForEachJournalEntry instead.)
+// (Validates every record, then keeps the valid prefix's bytes; restart
+// paths stream with ForEachJournalEntry instead.)
 StatusOr<Journal> ScanJournalImage(std::string_view image,
                                    RecoveryReport* report);
 
 // The image `journal`'s entries leave on disk: their frames in LSN order,
-// as a crash image that lost nothing (ScanJournalImage reads it back).
+// as a crash image that lost nothing (ScanJournalImage reads it back) —
+// the view's bytes, which are exactly what a pipeline's sink received.
 std::string EncodeJournalImage(const Journal& journal);
 
 }  // namespace ccr

@@ -175,23 +175,9 @@ JournalWriter::JournalWriter(ByteSink* sink) : sink_(sink) {
   CCR_CHECK(sink_ != nullptr);
 }
 
-Status JournalWriter::Append(const Journal::Entry& entry) {
-  CCR_RETURN_IF_ERROR(AppendNoSync(entry));
-  return Sync();
-}
-
-Status JournalWriter::Append(const Journal::CommitRecord& record) {
-  CCR_RETURN_IF_ERROR(AppendEncoded(EncodeCommitRecord(record)));
-  return Sync();
-}
-
-Status JournalWriter::AppendNoSync(const Journal::Entry& entry) {
-  return AppendEncoded(EncodeEntryRecord(entry));
-}
-
-Status JournalWriter::AppendEncoded(const std::string& encoded) {
-  CCR_RETURN_IF_ERROR(sink_->Append(encoded));
-  bytes_written_ += encoded.size();
+Status JournalWriter::Append(std::string_view frame) {
+  CCR_RETURN_IF_ERROR(sink_->Append(frame));
+  bytes_written_ += frame.size();
   ++records_appended_;
   return Status::OK();
 }

@@ -2,8 +2,8 @@
 //
 // The byte-level side of the durable journal: a sink abstraction over the
 // "disk" (in-memory image for tests, a real append-only file, a segmented
-// directory for deployments) and a JournalWriter that frames journal
-// entries into a sink. ScanJournalImage (journal_format.h) reads a crash
+// directory for deployments) and a JournalWriter that appends encoded
+// journal frames to a sink. ScanJournalImage (journal_format.h) reads a crash
 // image back under the torn-tail truncation rule.
 //
 // Faults are injected at the sink boundary, which is exactly where real
@@ -254,24 +254,19 @@ Status ForEachSegmentedRecord(
 // XORs `mask` into byte `offset` of a stored image (at-rest bit rot).
 void FlipByte(std::string* image, size_t offset, uint8_t mask = 0x01);
 
-// Frames journal entries into a sink. Calls are expected to be externally
-// serialized (GroupCommitPipeline appends under its mutex in kSync mode and
-// from its single flusher thread otherwise).
+// Appends encoded journal frames to a sink, one sink append per frame
+// (EncodeEntryRecord; the appending thread encoded it). Calls are expected
+// to be externally serialized (GroupCommitPipeline appends under its mutex
+// in kSync mode and from its single flusher thread otherwise).
 class JournalWriter {
  public:
   explicit JournalWriter(ByteSink* sink);
 
-  // Encodes one journal entry (commit or lifecycle record; a bare commit
-  // record frames as a commit entry), appends it, and syncs: the commit
-  // record is the durability point, so it must be on disk before the
-  // commit is acknowledged. (The pipeline's kSync path.)
-  Status Append(const Journal::Entry& entry);
-  Status Append(const Journal::CommitRecord& record);
-
-  // Appends without syncing — the group-commit path. The record is NOT
-  // durable until the next Sync() returns; the pipeline advances its
-  // durable watermark (and acknowledges committers) only after that sync.
-  Status AppendNoSync(const Journal::Entry& entry);
+  // Appends one frame without syncing. The record is NOT durable until the
+  // next Sync() returns; the pipeline syncs after every record in kSync
+  // mode and once per batch otherwise, and acknowledges committers only
+  // after that sync.
+  Status Append(std::string_view frame);
 
   // Durability barrier for everything appended so far.
   Status Sync();
@@ -282,9 +277,6 @@ class JournalWriter {
   uint64_t bytes_written() const { return bytes_written_; }
 
  private:
-  // Sink append + byte accounting for one encoded frame.
-  Status AppendEncoded(const std::string& encoded);
-
   ByteSink* sink_;
   size_t records_appended_ = 0;
   uint64_t bytes_written_ = 0;

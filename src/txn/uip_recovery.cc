@@ -63,22 +63,25 @@ void UipRecovery::FinalizeCommit(TxnId txn) {
 }
 
 void UipRecovery::Checkpoint() {
-  while (!log_.empty() && committed_in_log_.count(log_.front().txn) > 0) {
-    auto nexts = adt_->spec().Next(*base_, log_.front().op);
+  size_t folded = 0;
+  while (folded < log_.size() &&
+         committed_in_log_.count(log_[folded].txn) > 0) {
+    const LogEntry& entry = log_[folded++];
+    auto nexts = adt_->spec().Next(*base_, entry.op);
     CCR_CHECK_MSG(nexts.size() == 1,
                   "checkpoint replay of %s had %zu successors",
-                  log_.front().op.ToString().c_str(), nexts.size());
+                  entry.op.ToString().c_str(), nexts.size());
     base_ = std::move(nexts[0]);
-    const TxnId folded = log_.front().txn;
-    log_.pop_front();
     // Per-transaction counts replace the old full-log rescan: a committed
     // transaction is forgotten the moment its last entry folds.
-    auto count_it = live_counts_.find(folded);
+    auto count_it = live_counts_.find(entry.txn);
     if (--count_it->second == 0) {
       live_counts_.erase(count_it);
-      committed_in_log_.erase(folded);
+      committed_in_log_.erase(entry.txn);
     }
   }
+  // One erase per fold, so the survivors shift once, not once per entry.
+  log_.erase(log_.begin(), log_.begin() + static_cast<ptrdiff_t>(folded));
 }
 
 void UipRecovery::Abort(TxnId txn) {
@@ -95,11 +98,8 @@ void UipRecovery::Abort(TxnId txn) {
 }
 
 void UipRecovery::AbortByReplay(TxnId txn) {
-  std::deque<LogEntry> kept;
-  for (LogEntry& entry : log_) {
-    if (entry.txn != txn) kept.push_back(std::move(entry));
-  }
-  log_ = std::move(kept);
+  std::erase_if(log_,
+                [txn](const LogEntry& entry) { return entry.txn == txn; });
   // Rebuild the current state: base followed by the surviving log.
   std::unique_ptr<SpecState> state = base_->Clone();
   for (const LogEntry& entry : log_) {
@@ -125,11 +125,8 @@ void UipRecovery::AbortByInverse(TxnId txn) {
     current_ = std::move(*undone);
     ++stats_.inverse_ops;
   }
-  std::deque<LogEntry> kept;
-  for (LogEntry& entry : log_) {
-    if (entry.txn != txn) kept.push_back(std::move(entry));
-  }
-  log_ = std::move(kept);
+  std::erase_if(log_,
+                [txn](const LogEntry& entry) { return entry.txn == txn; });
 }
 
 std::unique_ptr<SpecState> UipRecovery::CurrentState() const {
@@ -154,7 +151,7 @@ std::unique_ptr<SpecState> UipRecovery::CommittedState() const {
 void UipRecovery::InstallCommittedState(std::unique_ptr<SpecState> state) {
   base_ = std::move(state);
   current_ = base_->Clone();
-  log_.clear();
+  std::vector<LogEntry>().swap(log_);  // clear() would keep the capacity
   committed_in_log_.clear();
   live_counts_.clear();
   pending_ops_.clear();

@@ -20,14 +20,17 @@
 //
 // A committed prefix of the log is continuously folded into the base state
 // (checkpointing), so log length is bounded by live-transaction footprint.
+// The log allocates nothing while empty and gives its memory back when
+// InstallCommittedState clears it (eviction, restart reset), so an idle or
+// evicted object pays nothing for it.
 
 #ifndef CCR_TXN_UIP_RECOVERY_H_
 #define CCR_TXN_UIP_RECOVERY_H_
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <set>
+#include <vector>
 
 #include "core/adt.h"
 #include "txn/recovery_manager.h"
@@ -77,7 +80,7 @@ class UipRecovery final : public RecoveryManager {
 
   std::unique_ptr<SpecState> base_;     // committed, checkpointed prefix
   std::unique_ptr<SpecState> current_;  // base + all logged operations
-  std::deque<LogEntry> log_;            // response order
+  std::vector<LogEntry> log_;           // response order
   std::set<TxnId> committed_in_log_;    // committed but not yet folded
 
   // Per-transaction accounting so commit and Checkpoint are O(ops of the

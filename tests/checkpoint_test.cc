@@ -1076,7 +1076,7 @@ TEST(CheckpointerTest, GcIsBestEffortAndReportsFirstError) {
     std::fclose(f);
   }
 
-  Checkpointer checkpointer(dir.path(), CheckpointerOptions{1});
+  Checkpointer checkpointer(dir.path(), CheckpointerOptions{.keep = 1});
   const Lsn anchor = journal.high_lsn();
   const StatusOr<Lsn> written = checkpointer.Write(&manager, anchor);
   // The new image is durable and loadable; the GC failure is reported.

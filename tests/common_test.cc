@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -155,6 +156,33 @@ TEST(StrJoinTest, JoinsWithSeparator) {
   EXPECT_EQ(StrJoin({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(StrJoin({}, ","), "");
   EXPECT_EQ(StrJoin({"only"}, ","), "only");
+}
+
+// The sizing pass of the journal encoder must count exactly what the
+// appenders write.
+TEST(StringSizeTest, SizesMatchWhatIsAppended) {
+  const auto decimal = [](auto v) {
+    std::string out;
+    AppendDecimal(&out, v);
+    EXPECT_EQ(DecimalSize(v), out.size()) << out;
+  };
+  for (const int64_t v :
+       {int64_t{0}, int64_t{9}, int64_t{10}, int64_t{-1}, int64_t{-10},
+        int64_t{99999}, std::numeric_limits<int64_t>::max(),
+        std::numeric_limits<int64_t>::min()}) {
+    decimal(v);
+  }
+  decimal(std::numeric_limits<int>::min());
+  decimal(std::numeric_limits<uint64_t>::max());
+  decimal(uint64_t{0});
+  for (const std::string& raw :
+       {std::string(), std::string("plain"), std::string("a b%\n"),
+        std::string("\x7f\x01"), std::string(3, '\0'),
+        std::string("caf\xc3\xa9")}) {
+    std::string out;
+    AppendEscaped(&out, raw);
+    EXPECT_EQ(EscapedSize(raw), out.size()) << out;
+  }
 }
 
 TEST(TablePrinterTest, AlignsColumns) {

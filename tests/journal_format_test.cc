@@ -535,7 +535,7 @@ TEST(JournalIoTest, WriterRoundTripsThroughMemorySink) {
   JournalWriter writer(&sink);
   std::vector<uint64_t> boundaries = {0};  // [n]: bytes after n records
   for (const auto& record : records) {
-    ASSERT_TRUE(writer.Append(record).ok());
+    ASSERT_TRUE(writer.Append(EncodeCommitRecord(record)).ok());
     boundaries.push_back(writer.bytes_written());
   }
   EXPECT_EQ(writer.records_appended(), records.size());
@@ -558,7 +558,7 @@ TEST(JournalIoTest, WriterRoundTripsThroughFileSink) {
     ASSERT_TRUE(sink.ok()) << sink.status().ToString();
     JournalWriter writer(sink->get());
     for (const auto& record : records) {
-      ASSERT_TRUE(writer.Append(record).ok());
+      ASSERT_TRUE(writer.Append(EncodeCommitRecord(record)).ok());
     }
   }
   StatusOr<std::string> image = ReadFileImage(path);
@@ -579,7 +579,7 @@ TEST(JournalIoTest, CrashAtRecordDropsSuffix) {
   JournalWriter writer(&sink);
   std::vector<uint64_t> boundaries = {0};  // [n]: bytes after n records
   for (const auto& record : records) {
-    ASSERT_TRUE(writer.Append(record).ok());
+    ASSERT_TRUE(writer.Append(EncodeCommitRecord(record)).ok());
     boundaries.push_back(writer.bytes_written());
   }
   for (size_t crash = 0; crash <= records.size(); ++crash) {
@@ -600,7 +600,7 @@ TEST(JournalIoTest, TornRecordTruncatesAtRecovery) {
   JournalWriter writer(&sink);
   std::vector<uint64_t> boundaries = {0};  // [n]: bytes after n records
   for (const auto& record : records) {
-    ASSERT_TRUE(writer.Append(record).ok());
+    ASSERT_TRUE(writer.Append(EncodeCommitRecord(record)).ok());
     boundaries.push_back(writer.bytes_written());
   }
   for (size_t torn = 0; torn < records.size(); ++torn) {

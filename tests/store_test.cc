@@ -720,7 +720,7 @@ TEST(EvictionTest, FuzzyCheckpointSkipsEvictedObjectsButRestartSeesThem) {
   const uint64_t puts_before = world.store.stats().puts;
 
   Checkpointer checkpointer(world.dir.path(),
-                            CheckpointerOptions{2, nullptr, &world.store});
+                            CheckpointerOptions{.keep = 2, .store = &world.store});
   StatusOr<Lsn> anchor =
       checkpointer.Write(&world.manager, world.journal.high_lsn());
   ASSERT_TRUE(anchor.ok()) << anchor.status().ToString();

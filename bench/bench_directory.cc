@@ -46,6 +46,7 @@
 #include "bench_util.h"
 #include "common/random.h"
 #include "common/string_util.h"
+#include "memory_log.h"
 #include "store/mem_store.h"
 #include "txn/journal.h"
 #include "txn/object_directory.h"
@@ -347,8 +348,8 @@ void EvictStress() {
   bench::RegisterCounterFactory(&manager, bench::EngineConfig::kUipNrbc);
   MemObjectStore store;
   manager.set_object_store(&store);
-  Journal journal;
-  manager.set_lifecycle_journal(&journal);
+  BasicMemoryLog<NullSink> log;
+  manager.set_lifecycle_journal(&log.journal);
   for (size_t i = 0; i < kObjects; ++i) {
     CCR_CHECK(manager.GetOrCreate(IdFor(i), bench::kCounterFactoryName).ok());
   }

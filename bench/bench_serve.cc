@@ -59,6 +59,7 @@
 #include "sim/driver.h"
 #include "sim/open_loop.h"
 #include "txn/group_commit.h"
+#include "txn/journal_io.h"
 #include "txn/txn_manager.h"
 
 namespace ccr {
@@ -112,12 +113,21 @@ struct CellResult {
   uint64_t acked_ops = 0;   // per-op results delivered with OK acks
 };
 
+// Counts what reached the engine's journal directory: the caller drained
+// the pipeline, and the engine never checkpoints, so every record is there.
 void FillJournalCounts(const Engine& engine, CellResult* cell) {
-  cell->records = engine.journal()->size();
   cell->syncs = engine.pipeline()->stats().syncs;
-  for (const Journal::Entry& entry : engine.journal()->Entries()) {
-    if (!entry.is_lifecycle) cell->journal_ops += entry.commit.ops.size();
-  }
+  CCR_CHECK(ForEachSegmentedEntry(
+                engine.sink()->dir(), /*after_lsn=*/0,
+                [cell](Lsn, Journal::Entry&& entry) {
+                  ++cell->records;
+                  if (!entry.is_lifecycle) {
+                    cell->journal_ops += entry.commit.ops.size();
+                  }
+                  return Status::OK();
+                },
+                nullptr)
+                .ok());
 }
 
 // The pre-PR-10 serving model: one thread per client, each parking in

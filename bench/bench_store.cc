@@ -47,6 +47,7 @@
 #include "common/random.h"
 #include "common/string_util.h"
 #include "common/temp_path.h"
+#include "memory_log.h"
 #include "sim/crash_harness.h"
 #include "store/log_store.h"
 #include "txn/checkpoint.h"
@@ -96,11 +97,11 @@ void RunEvictionArm(TablePrinter* table, size_t population, size_t cache,
     TxnManager manager(options);
     bench::RegisterCounterFactory(&manager, bench::EngineConfig::kUipNrbc);
     manager.set_object_store(store->get());
-    // A volatile journal: eviction's durability wait is trivially
-    // satisfied, so the measurement isolates the store tier (fault-in
-    // preads + eviction batch writes), not fdatasync.
-    Journal journal;
-    manager.set_lifecycle_journal(&journal);
+    // A journal whose sink keeps nothing: eviction's durability wait is
+    // trivially satisfied, so the measurement isolates the store tier
+    // (fault-in preads + eviction batch writes), not fdatasync.
+    BasicMemoryLog<NullSink> log;
+    manager.set_lifecycle_journal(&log.journal);
 
     for (size_t i = 0; i < population; ++i) {
       CCR_CHECK(

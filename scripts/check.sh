@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# One-command gate: build + full tier-1 test suite, then the crash-recovery
+# One-command gate: build + full tier-1 test suite and the crash-recovery
 # suite (ctest label `crash`: journal frames, group-commit fail-stop,
-# Engine::Open's restart and resume, the live crash driver) under
-# AddressSanitizer and ThreadSanitizer.
+# Engine::Open's restart and resume, the live crash driver) three more
+# times, the smokes, then the crash suite under AddressSanitizer and
+# ThreadSanitizer.
 #
 #   scripts/check.sh           # everything
 #   scripts/check.sh --fast    # tier-1 only (skip sanitizer builds)
@@ -19,6 +20,9 @@ echo "==> tier-1: configure + build + full ctest (preset: default)"
 cmake --preset default
 cmake --build --preset default -j "${JOBS}"
 ctest --preset default -j "${JOBS}"
+
+echo "==> crash suite three times over (ctest -L crash --repeat until-fail:3): interleaving-dependent failures show on repeats"
+ctest --preset default -j "${JOBS}" -L crash --repeat until-fail:3
 
 echo "==> restart smoke: checkpoint + tail replay audit (bench_journal)"
 cmake --build --preset default -j "${JOBS}" --target bench_journal

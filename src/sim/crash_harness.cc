@@ -4,25 +4,27 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <map>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 
 #include "common/string_util.h"
 #include "common/temp_path.h"
+#include "core/spec.h"
 #include "txn/journal_format.h"
 
 namespace ccr {
 namespace {
 
 // Audit 2, lifecycle-aware: every live object of `restarted` must equal
-// the spec-level replay (RecoverState — independent of the engine path the
+// the spec-level replay (RunSpec — independent of the engine path the
 // restart used) of its current incarnation's op projection of the first
 // `prefix` entries (a `create` starts an incarnation); every id the prefix
-// ends dropped must not resolve, and every id it ends created must.
+// ends dropped must not resolve, and every id it ends created must. A
+// projection the spec refuses fails the audit.
 bool AuditStateAgainstPrefix(TxnManager* restarted,
                              const std::vector<Journal::Entry>& entries,
                              size_t prefix) {
@@ -44,14 +46,12 @@ bool AuditStateAgainstPrefix(TxnManager* restarted,
     if ((restarted->object(id) != nullptr) != alive) return false;
   }
   for (AtomicObject* obj : restarted->objects()) {
-    OpSeq mine;
-    if (const auto it = ops.find(obj->id()); it != ops.end()) {
-      mine = it->second;
+    const auto it = ops.find(obj->id());
+    const StateSet want =
+        RunSpec(obj->adt().spec(), it == ops.end() ? OpSeq{} : it->second);
+    if (want.size() != 1 || !obj->CommittedState()->Equals(want.at(0))) {
+      return false;
     }
-    Journal per_object({Journal::CommitRecord{1, std::move(mine)}});
-    const std::unique_ptr<SpecState> want =
-        RecoverState(obj->adt(), per_object);
-    if (!obj->CommittedState()->Equals(*want)) return false;
   }
   return true;
 }
@@ -66,8 +66,11 @@ constexpr std::string_view kRecordPoint = "journal.record";
 // death leaves a seeded prefix of it on the disk (the dying record at most
 // torn), any other death none of it. Injects the record and I/O-error
 // faults once armed, and counts the records that reached the disk whole.
-// The pipeline serializes Append and Sync; Arm comes from a workload or
-// ack thread. The count is read once the engine is gone.
+// Every frame the pipeline hands it is first teed into `handed`, before
+// any fault decides its fate: the run's sequence, in LSN order, that the
+// audits hold the restart to. The pipeline serializes Append and Sync, one
+// frame per append; Arm comes from a workload or ack thread. The tee and
+// the count are read once the engine is gone.
 struct FaultySink : ByteSink {
   FaultySink(ByteSink* disk, CrashPoints* crash, const CrashFault& fault,
              uint64_t seed)
@@ -76,11 +79,14 @@ struct FaultySink : ByteSink {
 
   Status Append(std::string_view bytes) override {
     std::lock_guard<std::mutex> lock(mu);
-    if (armed && fault.kind == CrashFault::Kind::kAppendError) {
+    const bool strike = Striking();
+    handed.append(bytes);
+    ++frames;
+    if (strike && fault.kind == CrashFault::Kind::kAppendError) {
       return Inject("append");
     }
     unsynced.emplace_back(bytes);
-    if (!armed || fault.kind != CrashFault::Kind::kRecord || crash->dead()) {
+    if (!strike || fault.kind != CrashFault::Kind::kRecord || crash->dead()) {
       return Status::OK();
     }
     // The machine dies while writing this record.
@@ -99,7 +105,7 @@ struct FaultySink : ByteSink {
 
   Status Sync() override {
     std::lock_guard<std::mutex> lock(mu);
-    if (armed && fault.kind == CrashFault::Kind::kSyncError) {
+    if (Striking() && fault.kind == CrashFault::Kind::kSyncError) {
       return Inject("sync");
     }
     for (const std::string& record : unsynced) {
@@ -110,11 +116,17 @@ struct FaultySink : ByteSink {
     return disk->Sync();
   }
 
-  // The next append (kSyncError: sync) strikes; fraction 0: the first.
-  void Arm() {
+  // Arms the fault: it strikes the first append (kSyncError: sync) made
+  // once the sink has been handed `after` frames. Only the first call
+  // counts; fraction 0 is armed from the start, at the first append.
+  void Arm(size_t after) {
     std::lock_guard<std::mutex> lock(mu);
+    if (armed) return;
     armed = true;
+    strike_after = after;
   }
+
+  bool Striking() const { return armed && frames >= strike_after; }
 
   Status Inject(const char* what) {
     error_fired = true;
@@ -128,6 +140,9 @@ struct FaultySink : ByteSink {
   std::mutex mu;
   Random tear;
   bool armed;
+  size_t strike_after = 0;
+  std::string handed;                 // every frame appended, in order
+  size_t frames = 0;                  // ... and how many
   std::vector<std::string> unsynced;  // the page cache
   size_t on_disk = 0;
   bool error_fired = false;
@@ -160,22 +175,28 @@ class Scenario {
     if (result_.status.ok()) result_.status = s;
   }
 
-  // Counts one unit of work's outcome: acknowledged (`txn`: its id, for
-  // the audit; `ops`: a submission's ops), or refused — aborted by its
-  // body, turned away by a fail-stopped front end. Every
-  // maintenance_every-th ack wakes the maintenance thread. A record or
-  // I/O-error fault strikes the first journal append (sync) after the
-  // acks reach its fraction of the work that can still be acknowledged —
-  // the workload less what was refused so far — so it lands mid-run, among
-  // acknowledged work.
-  void OnOutcome(bool acked, TxnId txn = kInvalidTxn, size_t ops = 0) {
+  // Counts one unit of work's outcome: acknowledged (`lsn`: the record a
+  // transaction's ack covers, for audit 3; `ops`: a submission's ops), or
+  // refused — aborted by its body, turned away by a fail-stopped front
+  // end. Every maintenance_every-th ack wakes the maintenance thread. A
+  // record or I/O-error fault strikes the first journal append (sync)
+  // after the acks reach its fraction of the work that can still be
+  // acknowledged — the workload less what was refused so far — so it lands
+  // mid-run, among acknowledged work. kRelaxed acknowledges at sequencing,
+  // before the flusher hands the record to the sink, so there the fault
+  // also waits for the sink to be handed every record sequenced by then.
+  void OnOutcome(bool acked, Lsn lsn = kNoLsn, size_t ops = 0) {
+    const Lsn sequenced =
+        options_.group_commit.mode == DurabilityMode::kRelaxed
+            ? engine_->journal()->high_lsn()
+            : kNoLsn;
     std::lock_guard<std::mutex> lock(mu_);
     if (!acked) {
       ++refused_;
     } else {
       ++acked_;
       result_.acked_ops += ops;
-      if (txn != kInvalidTxn) acked_txns_.push_back(txn);
+      if (lsn != kNoLsn) acked_lsns_.push_back(lsn);
       if (options_.maintenance_every > 0 &&
           acked_ % options_.maintenance_every == 0) {
         maintenance_cv_.notify_one();
@@ -183,12 +204,13 @@ class Scenario {
     }
     if (static_cast<double>(acked_) >=
         options_.fault.fraction * static_cast<double>(work_ - refused_)) {
-      disk_->Arm();
+      disk_->Arm(static_cast<size_t>(sequenced));
     }
   }
 
   void MaintenanceLoop();
   void MaintenancePass();
+  StatusOr<Lsn> CommitOne(const TxnBody& body, Random* rng, Random* backoff);
   void RunWorkers(const TxnBody& body);
   void RunBurst(const RequestFactory& make_request);
   void Audit(const std::vector<Journal::Entry>& entries);
@@ -212,7 +234,7 @@ class Scenario {
   size_t acked_ = 0;    // ... that returned OK
   size_t refused_ = 0;  // ... that were aborted or refused for good
   bool workload_done_ = false;
-  std::vector<TxnId> acked_txns_;
+  std::vector<Lsn> acked_lsns_;  // the record each journaled ack covered
 };
 
 CrashScenarioResult Scenario::Run(const TxnBody* body,
@@ -232,7 +254,6 @@ CrashScenarioResult Scenario::Run(const TxnBody* body,
                                          options_.driver.seed);
     return disk_.get();
   };
-  std::vector<Journal::Entry> entries;
   {
     // The live engine. Leaving this scope is the crash: every volatile
     // structure dies.
@@ -274,16 +295,32 @@ CrashScenarioResult Scenario::Run(const TxnBody* body,
     pipeline->Drain();
     result_.durable_lsn = pipeline->durable_lsn();
     result_.failure = pipeline->status();
+    result_.records_total = pipeline->stats().records_sequenced;
     {
       std::lock_guard<std::mutex> lock(mu_);
       result_.acked = acked_;
     }
-    entries = engine_->journal()->Entries();
     if (engine_->store() != nullptr) {
       result_.compactions = engine_->store()->stats().compactions;
     }
   }
-  result_.records_total = entries.size();
+  // The run's sequence: every frame the pipeline handed the sink. The
+  // engine started on an empty directory, so its LSNs count from 1, as
+  // the scan's do.
+  std::vector<Journal::Entry> entries;
+  RecoveryReport scan;
+  const Status decoded = ForEachJournalEntry(
+      disk_->handed, /*after_lsn=*/0,
+      [&entries](Lsn, Journal::Entry&& entry) {
+        entries.push_back(std::move(entry));
+        return Status::OK();
+      },
+      &scan);
+  if (result_.status.ok() && (!decoded.ok() || scan.corrupt_tail)) {
+    result_.status = Status::Internal(
+        StrFormat("the frames handed to the sink do not decode: %s %s",
+                  decoded.ToString().c_str(), scan.ToString().c_str()));
+  }
   result_.records_on_disk = disk_->on_disk;
   result_.fault_fired = crash_.fired() || disk_->error_fired;
   // The engine closed its journal sink, so the buffered bytes of the
@@ -340,23 +377,53 @@ void Scenario::MaintenancePass() {
   if (engine_->store() != nullptr) Note(engine_->store()->CompactNow());
 }
 
+// RunTransaction's loop, retrying what it retries, but acknowledged the
+// way Commit does it — CommitAsync, then WaitDurable — so the driver knows
+// the LSN each ack covers (kNoLsn: the transaction journaled nothing).
+StatusOr<Lsn> Scenario::CommitOne(const TxnBody& body, Random* rng,
+                                  Random* backoff) {
+  constexpr int kMaxRetries = 1000;  // TxnManagerOptions' default
+  for (int attempt = 0;; ++attempt) {
+    const std::shared_ptr<Transaction> txn = manager_->Begin();
+    Status s = body(manager_, txn.get(), rng);
+    if (s.ok()) {
+      const StatusOr<Lsn> lsn = manager_->CommitAsync(txn.get());
+      if (lsn.ok()) {
+        if (*lsn != kNoLsn) {
+          CCR_RETURN_IF_ERROR(engine_->pipeline()->WaitDurable(*lsn));
+        }
+        return *lsn;
+      }
+      s = lsn.status();
+    } else if (txn->active()) {
+      manager_->Abort(txn.get());
+    }
+    if (!s.IsRetryable()) return s;
+    if (attempt == kMaxRetries) {
+      return Status::Aborted("transaction retry budget exhausted");
+    }
+    const uint64_t max_us = 32ull << std::min(attempt, 8);
+    std::this_thread::sleep_for(
+        std::chrono::microseconds(backoff->Uniform(max_us) + 1));
+  }
+}
+
 void Scenario::RunWorkers(const TxnBody& body) {
   const DriverOptions& driver = options_.driver;
   std::vector<std::thread> workers;
   for (int w = 0; w < driver.threads; ++w) {
     workers.emplace_back([&, w] {
       Random rng(driver.seed * 1000003 + static_cast<uint64_t>(w));
+      Random backoff(driver.seed * 7919 + static_cast<uint64_t>(w));
       for (int i = 0; i < driver.txns_per_thread; ++i) {
-        TxnId txn_id = kInvalidTxn;
-        const Status s = manager_->RunTransaction([&](Transaction* txn) {
-          txn_id = txn->id();
-          return body(manager_, txn, &rng);
-        });
+        const StatusOr<Lsn> lsn = CommitOne(body, &rng, &backoff);
         // kAborted: a body that injects aborts. Anything else stops the
         // worker: the engine fail-stopped (every later transaction would
         // fail alike), or the workload broke.
-        if (!s.ok() && s.code() != StatusCode::kAborted) return Note(s);
-        OnOutcome(s.ok(), txn_id);
+        if (!lsn.ok() && lsn.status().code() != StatusCode::kAborted) {
+          return Note(lsn.status());
+        }
+        OnOutcome(lsn.ok(), lsn.ok() ? *lsn : kNoLsn);
       }
     });
   }
@@ -382,7 +449,7 @@ void Scenario::RunBurst(const RequestFactory& make_request) {
         for (;;) {
           const Status admitted = frontend.SubmitAsync(
               ops, [&](const Status& s, std::vector<Value> values) {
-                if (s.ok()) OnOutcome(true, kInvalidTxn, values.size());
+                if (s.ok()) OnOutcome(true, kNoLsn, values.size());
               });
           if (admitted.ok()) break;
           if (admitted.code() != StatusCode::kResourceExhausted) {
@@ -423,11 +490,12 @@ void Scenario::Audit(const std::vector<Journal::Entry>& entries) {
   const auto excess = [](size_t a, size_t b) { return a > b ? a - b : 0; };
 
   // Audit 1: recovery lands on exactly the records that reached the disk
-  // whole, and every entry past the checkpoint anchor is the run's entry
-  // at that LSN (the image covers the ones at or below it; audit 2 checks
-  // those).
+  // whole, recovered ⊆ handed to the sink ⊆ sequenced, and every entry
+  // past the checkpoint anchor is the run's entry at that LSN (the image
+  // covers the ones at or below it; audit 2 checks those).
   result_.prefix_ok =
       high == result_.records_on_disk && high <= entries.size() &&
+      entries.size() <= result_.records_total &&
       ForEachSegmentedEntry(
           dir_.path(), summary.checkpoint_anchor,
           [&](Lsn lsn, Journal::Entry&& entry) {
@@ -457,15 +525,12 @@ void Scenario::Audit(const std::vector<Journal::Entry>& entries) {
     result_.acked_lost = excess(result_.acked_ops, result_.recovered_ops);
     result_.acked_beyond_watermark = excess(result_.acked_ops, durable_ops);
   } else {
-    std::unordered_map<TxnId, size_t> lsn_of;
-    for (size_t i = 0; i < entries.size(); ++i) {
-      if (!entries[i].is_lifecycle) lsn_of[entries[i].commit.txn] = i + 1;
-    }
-    for (const TxnId txn : acked_txns_) {
-      const auto it = lsn_of.find(txn);
-      if (it == lsn_of.end()) continue;  // read-only: nothing journaled
-      result_.acked_lost += it->second > high ? 1 : 0;
-      result_.acked_beyond_watermark += it->second > durable ? 1 : 0;
+    // By the LSN each ack covered, whether or not its record reached the
+    // sink: an ack for a record the fail-stop dropped is beyond the
+    // watermark.
+    for (const Lsn lsn : acked_lsns_) {
+      result_.acked_lost += lsn > high ? 1 : 0;
+      result_.acked_beyond_watermark += lsn > result_.durable_lsn ? 1 : 0;
     }
   }
 

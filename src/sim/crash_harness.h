@@ -23,13 +23,16 @@
 // journal at high_lsn + 1 (which cuts a torn tail), so every scenario also
 // exercises the resume. Audits:
 //
-//   1. the recovered entries are a prefix of the run's sequence, and
-//      recovery lands on exactly the records that survived the crash whole;
-//   2. every recovered object equals a spec-level replay (RecoverState,
-//      not the engine) of that prefix;
+//   1. the recovered entries are a prefix of the run's sequence (every
+//      frame the pipeline handed the journal sink, teed before any fault),
+//      and recovery lands on exactly the records that survived the crash
+//      whole;
+//   2. every recovered object equals a spec-level replay (RunSpec, not the
+//      engine) of that prefix;
 //   3. every commit that returned OK is recovered, and none was acked
-//      beyond the watermark frozen at the failure (under kRelaxed, which
-//      acks before durability by contract, the watermark is the acked set);
+//      beyond the watermark frozen at the failure, judged by the LSN the
+//      ack covered (under kRelaxed, which acks before durability by
+//      contract, the watermark is the acked set);
 //   4. no transaction is torn across the objects it wrote;
 //   5. serving only: ops are conserved exactly on a run without a fault,
 //      and acked ⊆ recovered ⊆ journaled otherwise.
@@ -61,7 +64,9 @@ struct CrashFault {
   // (kSyncError: sync) after the acks reach this fraction of the workload
   // (transactions or submissions, less those aborted or refused so far):
   // a record position picked in the run, among acknowledged work, so it
-  // lands mid-run and mid-batch.
+  // lands mid-run and mid-batch. kRelaxed acks at sequencing, so there the
+  // fault also waits until the sink has been handed every record
+  // sequenced when the acks reached the fraction.
   double fraction = 0;
   std::string point;  // kPoint: rot.*, trunc.*, ckpt.*, store.*
   int error = 0;      // kAppendError / kSyncError: the errno
@@ -110,7 +115,7 @@ struct CrashScenarioOptions {
 
 struct CrashScenarioResult {
   // The run.
-  size_t records_total = 0;    // entries the run sequenced, in LSN order
+  size_t records_total = 0;    // entries the pipeline sequenced
   size_t records_on_disk = 0;  // entries that survived the crash whole
   Lsn durable_lsn = 0;         // watermark at the end, frozen by a failure
   bool fault_fired = false;

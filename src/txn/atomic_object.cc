@@ -407,8 +407,8 @@ bool AtomicObject::FinishEvict(const EvictTicket& ticket) {
     // The object moved on between BeginEvict and here (new commit, new
     // waiter, a drop). The image already written is stale but sound — its
     // LSN is monotone over any older image — so just abandon the eviction.
-    // The commit tick, not the LSN, is what detects a raced commit: with a
-    // volatile journal every commit sequences at kNoLsn, and an
+    // The commit tick, not the LSN, is what detects a raced commit: with no
+    // journal attached every commit sequences at kNoLsn, and an
     // Execute+Commit completing entirely inside the two-phase gap would
     // leave the LSN looking untouched.
     return false;

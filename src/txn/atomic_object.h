@@ -216,11 +216,11 @@ class AtomicObject {
   //      refreshes it.
   //
   // The raced-commit check compares the ticket's commit tick, not its
-  // LSN: with a volatile journal (or none) every commit sequences at
-  // kNoLsn, so an Execute+Commit completing entirely inside the two-phase
-  // gap would leave the LSN unchanged and the stale image would silently
-  // swallow the commit. The tick advances on every state-changing commit,
-  // replay, and checkpoint install regardless of journal mode.
+  // LSN: with no journal attached every commit sequences at kNoLsn, so an
+  // Execute+Commit completing entirely inside the two-phase gap would
+  // leave the LSN unchanged and the stale image would silently swallow the
+  // commit. The tick advances on every state-changing commit, replay, and
+  // checkpoint install, journal or none.
   struct EvictTicket {
     std::string encoded;
     Lsn lsn = kNoLsn;
@@ -353,7 +353,7 @@ class AtomicObject {
   Lsn last_lsn_ = kNoLsn;        // newest commit LSN sequenced here
   // Monotone count of state-changing events (commits, replays, checkpoint
   // installs) — FinishEvict's raced-commit detector. LSNs cannot serve
-  // here: a volatile journal sequences every commit at kNoLsn.
+  // here: an object with no journal attached commits at kNoLsn.
   uint64_t commit_tick_ = 0;
   std::map<TxnId, OpSeq> held_;  // operation locks of active transactions
   std::list<Waiter*> queue_;     // blocked callers, FIFO arrival order

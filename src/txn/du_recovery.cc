@@ -53,7 +53,7 @@ void DuRecovery::CollectCommit(TxnId txn, OpSeq* redo) {
   // group-commit sync. A workspace created by Candidates alone (every
   // invocation disabled) has no intentions and contributes nothing.
   auto it = workspaces_.find(txn);
-  if (it == workspaces_.end()) return;  // read-free transaction
+  if (it == workspaces_.end()) return;  // op-free transaction
   if (journal_ != nullptr) {
     redo->insert(redo->end(), it->second.intentions.begin(),
                  it->second.intentions.end());
@@ -63,7 +63,7 @@ void DuRecovery::CollectCommit(TxnId txn, OpSeq* redo) {
 void DuRecovery::FinalizeCommit(TxnId txn) {
   ++stats_.commits;
   auto it = workspaces_.find(txn);
-  if (it == workspaces_.end()) return;  // read-free transaction
+  if (it == workspaces_.end()) return;  // op-free transaction
   // Apply the intentions list to the base copy, in list order.
   for (const Operation& op : it->second.intentions) {
     auto nexts = adt_->spec().Next(*base_, op);

@@ -183,28 +183,27 @@ void GroupCommitPipeline::FlusherLoop() {
     // Take up to max_batch records; anything beyond flushes next cycle
     // (immediately — the queue is non-empty, so the wait above falls
     // through).
-    std::deque<std::string> batch;
     const size_t take = std::min(queue_.size(), options_.max_batch);
     for (size_t i = 0; i < take; ++i) {
-      batch.push_back(std::move(queue_.front()));
+      batch_.push_back(std::move(queue_.front()));
       queue_.pop_front();
     }
     const Lsn high = durable_lsn_.load(std::memory_order_relaxed) +
                      static_cast<Lsn>(take);
     lk.unlock();
-    FlushBatch(&batch, high);
+    FlushBatch(high);
+    batch_.clear();
     lk.lock();
   }
 }
 
-void GroupCommitPipeline::FlushBatch(std::deque<std::string>* batch,
-                                     Lsn high) {
+void GroupCommitPipeline::FlushBatch(Lsn high) {
   // Append off the lock: sequencers keep enqueueing (and object critical
   // sections keep draining) while this batch hits the disk. The first
   // failure ends the batch: no sync follows a failed append.
   Status s;
   const char* what = "append";
-  for (const std::string& frame : *batch) {
+  for (const std::string& frame : batch_) {
     s = writer_->Append(frame);
     if (!s.ok()) break;
   }
@@ -214,11 +213,11 @@ void GroupCommitPipeline::FlushBatch(std::deque<std::string>* batch,
   }
   std::unique_lock<std::mutex> lk(mu_);
   if (!s.ok()) return Fail(lk, what, s);
-  stats_.records_flushed += batch->size();
+  stats_.records_flushed += batch_.size();
   ++stats_.batches;
   ++stats_.syncs;
   stats_.max_batch_observed =
-      std::max<uint64_t>(stats_.max_batch_observed, batch->size());
+      std::max<uint64_t>(stats_.max_batch_observed, batch_.size());
   durable_lsn_.store(high, std::memory_order_release);
   // Collect the async acks this batch covers under the same mu_ hold that
   // advances the watermark — a concurrent OnDurable either sees the new

@@ -116,7 +116,9 @@ struct GroupCommitStats {
   uint64_t async_acks = 0;  // OnDurable callbacks registered (incl. inline)
   // Commit-call-to-acknowledgment latency of durable commits, recorded by
   // TxnManager::Commit around the object-commit loop + WaitDurable.
-  LatencyRecorder ack_latency_us;
+  // Bucketed (at most 1/32 relative error), so it stays ~15 KB however
+  // many commits the pipeline acknowledges.
+  LatencyRecorder ack_latency_us{LatencyMode::kBuckets};
 };
 
 class GroupCommitPipeline {
@@ -199,9 +201,9 @@ class GroupCommitPipeline {
   };
 
   void FlusherLoop();
-  // Appends `batch` to the writer, issues one sync, advances the watermark
+  // Appends batch_ to the writer, issues one sync, advances the watermark
   // to `high`, and wakes committers. Called with mu_ released.
-  void FlushBatch(std::deque<std::string>* batch, Lsn high);
+  void FlushBatch(Lsn high);
   // Poisons the pipeline with the sink's failure `s` at step `what` (`lk`
   // holds mu_), drops the queue, then — with `lk` released — wakes every
   // waiter and fails every pending ack, in LSN order.
@@ -237,7 +239,12 @@ class GroupCommitPipeline {
   // they get their own mutex so a batch of waking committers does not
   // convoy against the flusher and the sequencers on mu_.
   mutable std::mutex ack_mu_;
-  LatencyRecorder ack_latency_us_;
+  LatencyRecorder ack_latency_us_{LatencyMode::kBuckets};
+
+  // The batch being flushed. Only the flusher thread touches it, and it
+  // is cleared, not rebuilt, each cycle: a vector keeps its capacity, so
+  // once it has held the largest batch no cycle allocates for it.
+  std::vector<std::string> batch_;
 
   std::thread flusher_;
 };

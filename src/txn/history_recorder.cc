@@ -6,21 +6,7 @@
 
 namespace ccr {
 
-const char* RecorderModeName(RecorderMode mode) {
-  switch (mode) {
-    case RecorderMode::kSharded:
-      return "sharded";
-    case RecorderMode::kEager:
-      return "eager";
-  }
-  return "?";
-}
-
-HistoryRecorder::HistoryRecorder(RecorderOptions options) : options_(options) {
-  if (options_.mode == RecorderMode::kSharded) {
-    default_shard_ = RegisterShard();
-  }
-}
+HistoryRecorder::HistoryRecorder() : default_shard_(RegisterShard()) {}
 
 HistoryRecorder::Shard* HistoryRecorder::RegisterShard() {
   std::lock_guard<std::mutex> lock(registry_mu_);
@@ -32,10 +18,6 @@ HistoryRecorder::Shard* HistoryRecorder::RegisterShard() {
 }
 
 void HistoryRecorder::Shard::Record(Event event) {
-  if (owner_->options_.mode == RecorderMode::kEager) {
-    owner_->RecordEager(std::move(event));
-    return;
-  }
   std::lock_guard<std::mutex> lock(mu_);
   // The ticket is drawn under the shard lock, so each shard's buffer is
   // already in ticket order, and a ticket is never published without its
@@ -46,30 +28,12 @@ void HistoryRecorder::Shard::Record(Event event) {
   events_.push_back(TicketedEvent{ticket, std::move(event)});
 }
 
-void HistoryRecorder::RecordEager(Event event) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Append validates before consuming the event, so on failure `event` is
-  // still intact for the message.
-  Status s = history_.Append(std::move(event));
-  CCR_CHECK_MSG(s.ok(), "engine produced ill-formed history: %s appending %s",
-                s.ToString().c_str(), event.ToString().c_str());
-}
-
 void HistoryRecorder::Record(Event event) {
-  if (options_.mode == RecorderMode::kEager) {
-    RecordEager(std::move(event));
-    return;
-  }
   default_shard_->Record(std::move(event));
 }
 
 History HistoryRecorder::Snapshot() const {
   snapshots_.fetch_add(1, std::memory_order_relaxed);
-  if (options_.mode == RecorderMode::kEager) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return history_;
-  }
-
   // Copy out all shard buffers under the registry lock plus all shard
   // locks (a consistent cut: every drawn ticket is present, and no new
   // tickets can be drawn until the locks drop), then merge and validate
@@ -103,10 +67,6 @@ History HistoryRecorder::Snapshot() const {
 }
 
 size_t HistoryRecorder::size() const {
-  if (options_.mode == RecorderMode::kEager) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return history_.size();
-  }
   return next_ticket_.load(std::memory_order_relaxed);
 }
 
@@ -114,10 +74,8 @@ RecorderStats HistoryRecorder::stats() const {
   RecorderStats stats;
   stats.events = size();
   stats.snapshots = snapshots_.load(std::memory_order_relaxed);
-  if (options_.mode == RecorderMode::kSharded) {
-    std::lock_guard<std::mutex> lock(registry_mu_);
-    stats.shards = shards_.size();
-  }
+  std::lock_guard<std::mutex> lock(registry_mu_);
+  stats.shards = shards_.size();
   return stats;
 }
 

@@ -5,32 +5,25 @@
 // the offline checkers can audit — the bridge between the runtime engine
 // and the paper's formal model.
 //
-// Two recording modes:
-//
-//  * kSharded (default) — a registry of append-only buffers (shards), one
-//    registered per object by the engine, plus a default shard for
-//    unregistered appends. Each entry is stamped with a ticket drawn from a
-//    single global atomic sequence counter while the shard lock is held.
-//    Because the engine records response/commit/abort events while the
-//    object's own mutex is held, a per-object shard's lock is essentially
-//    uncontended — same-object appends are already serialized by the
-//    object, and cross-object appends go to different shards. Per-object
-//    ticket order equals effect order (the fetch_add happens inside the
-//    object's critical section, so mutex ordering implies ticket ordering),
-//    and cross-object ticket order respects real time (one global counter:
-//    if one Record returns before another begins, its ticket is smaller).
-//    Snapshot() locks all shards, merges entries by ticket, and runs
-//    well-formedness validation *once* over the merged sequence via
-//    History::FromEvents instead of per append under a hot global lock.
-//    Dynamic atomicity is a local property (paper Lemma 1): the checkers
-//    only rely on per-object event order plus the per-transaction order the
-//    single-threaded transaction contract already provides, both of which
-//    the tickets preserve.
-//
-//  * kEager — the previous behavior, kept as the correctness oracle and as
-//    the baseline series for bench_recorder: one global mutex, every event
-//    validated at append time (an ill-formed event aborts the process at
-//    the offending call site rather than at the next snapshot).
+// Events are recorded into a registry of append-only buffers (shards), one
+// registered per object by the engine, plus a default shard for
+// unregistered appends. Each entry is stamped with a ticket drawn from a
+// single global atomic sequence counter while the shard lock is held.
+// Because the engine records response/commit/abort events while the
+// object's own mutex is held, a per-object shard's lock is essentially
+// uncontended — same-object appends are already serialized by the object,
+// and cross-object appends go to different shards. Per-object ticket order
+// equals effect order (the fetch_add happens inside the object's critical
+// section, so mutex ordering implies ticket ordering), and cross-object
+// ticket order respects real time (one global counter: if one Record
+// returns before another begins, its ticket is smaller). Snapshot() locks
+// all shards, merges entries by ticket, and runs well-formedness
+// validation *once* over the merged sequence via History::FromEvents
+// instead of per append under a hot global lock. Dynamic atomicity is a
+// local property (paper Lemma 1): the checkers only rely on per-object
+// event order plus the per-transaction order the single-threaded
+// transaction contract already provides, both of which the tickets
+// preserve.
 
 #ifndef CCR_TXN_HISTORY_RECORDER_H_
 #define CCR_TXN_HISTORY_RECORDER_H_
@@ -46,21 +39,10 @@
 
 namespace ccr {
 
-enum class RecorderMode {
-  kSharded,  // append to per-object buffers, validate at snapshot time
-  kEager,    // single mutex, validate every append (debug oracle)
-};
-
-const char* RecorderModeName(RecorderMode mode);
-
-struct RecorderOptions {
-  RecorderMode mode = RecorderMode::kSharded;
-};
-
 struct RecorderStats {
   uint64_t events = 0;     // events recorded so far
   uint64_t snapshots = 0;  // Snapshot() calls served
-  uint64_t shards = 0;     // registered append targets (0 in kEager mode)
+  uint64_t shards = 0;     // registered append targets
 };
 
 class HistoryRecorder {
@@ -68,16 +50,13 @@ class HistoryRecorder {
   // A registered append target with its own buffer and lock. The engine
   // registers one per object and records through it, so appends taken
   // inside an object's critical section never contend with other objects'.
-  // In kEager mode Record forwards to the owner's validating history; call
-  // sites hold a Shard* either way and need not know the mode.
   //
   // Shard pointers remain valid for the owning recorder's lifetime.
   class Shard {
    public:
     // Appends an event (taken by value: call sites pass temporaries, which
-    // move all the way into the buffer). In kEager mode a well-formedness
-    // violation is caught here and aborts the process; in kSharded mode it
-    // is caught (and aborts) at the next Snapshot.
+    // move all the way into the buffer). A well-formedness violation is
+    // caught (and aborts) at the next Snapshot.
     void Record(Event event);
 
    private:
@@ -95,7 +74,7 @@ class HistoryRecorder {
     std::vector<TicketedEvent> events_;  // ticket order (appended under mu_)
   };
 
-  explicit HistoryRecorder(RecorderOptions options = {});
+  HistoryRecorder();
 
   CCR_DISALLOW_COPY_AND_ASSIGN(HistoryRecorder);
 
@@ -103,24 +82,19 @@ class HistoryRecorder {
   // pointer is owned by the recorder and valid for its lifetime.
   Shard* RegisterShard();
 
-  // Appends an event through the default shard (kSharded) or the validating
-  // history (kEager). Engine hot paths use a registered Shard instead.
+  // Appends an event through the default shard. Engine hot paths use a
+  // registered Shard instead.
   void Record(Event event);
 
-  // A consistent copy of the history so far: in kSharded mode, the shard
-  // buffers merged in ticket order and validated once. Snapshots taken
-  // later extend earlier ones (the earlier merged sequence is a prefix of
-  // the later one).
+  // A consistent copy of the history so far: the shard buffers merged in
+  // ticket order and validated once. Snapshots taken later extend earlier
+  // ones (the earlier merged sequence is a prefix of the later one).
   History Snapshot() const;
 
   size_t size() const;
-  RecorderMode mode() const { return options_.mode; }
   RecorderStats stats() const;
 
  private:
-  void RecordEager(Event event);
-
-  RecorderOptions options_;
   std::atomic<uint64_t> next_ticket_{0};
   mutable std::atomic<uint64_t> snapshots_{0};
 
@@ -129,11 +103,7 @@ class HistoryRecorder {
   // stay stable.
   mutable std::mutex registry_mu_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  Shard* default_shard_ = nullptr;  // for unregistered Records (kSharded)
-
-  // kEager state.
-  mutable std::mutex mu_;
-  History history_;
+  Shard* default_shard_ = nullptr;  // for unregistered Records
 };
 
 }  // namespace ccr

@@ -397,28 +397,4 @@ Status ForEachJournalEntry(std::string_view image, Lsn after_lsn,
   return Status::OK();
 }
 
-StatusOr<Journal> ScanJournalImage(std::string_view image,
-                                   RecoveryReport* report) {
-  // The scan validates every frame (checksum and payload); the journal
-  // keeps the valid prefix's bytes as they are.
-  RecoveryReport local;
-  CCR_RETURN_IF_ERROR(ForEachJournalEntry(
-      image, /*after_lsn=*/0,
-      [](Lsn, Journal::Entry&&) { return Status::OK(); }, &local));
-  if (report != nullptr) *report = local;
-  return Journal(std::string(image.substr(0, image.size() -
-                                                 local.bytes_truncated)),
-                 local.records_replayed);
-}
-
-std::string EncodeJournalImage(const Journal& journal) {
-  std::lock_guard<std::mutex> lock(journal.mu_);
-  size_t size = 0;
-  for (const std::string& chunk : journal.chunks_) size += chunk.size();
-  std::string image;
-  image.reserve(size);
-  for (const std::string& chunk : journal.chunks_) image += chunk;
-  return image;
-}
-
 }  // namespace ccr

@@ -142,20 +142,6 @@ using JournalEntryFn = std::function<Status(Lsn, Journal::Entry&&)>;
 Status ForEachJournalEntry(std::string_view image, Lsn after_lsn,
                            const JournalEntryFn& fn, RecoveryReport* report);
 
-// Scans a journal image as found after a crash and returns the valid
-// prefix as an in-memory Journal, applying the torn-tail truncation rule
-// above. `report` (optional) receives what happened. Mid-journal
-// corruption — an intact record after a damaged one — returns kInternal.
-// (Validates every record, then keeps the valid prefix's bytes; restart
-// paths stream with ForEachJournalEntry instead.)
-StatusOr<Journal> ScanJournalImage(std::string_view image,
-                                   RecoveryReport* report);
-
-// The image `journal`'s entries leave on disk: their frames in LSN order,
-// as a crash image that lost nothing (ScanJournalImage reads it back) —
-// the view's bytes, which are exactly what a pipeline's sink received.
-std::string EncodeJournalImage(const Journal& journal);
-
 }  // namespace ccr
 
 #endif  // CCR_TXN_JOURNAL_FORMAT_H_

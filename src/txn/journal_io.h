@@ -3,8 +3,8 @@
 // The byte-level side of the durable journal: a sink abstraction over the
 // "disk" (in-memory image for tests, a real append-only file, a segmented
 // directory for deployments) and a JournalWriter that appends encoded
-// journal frames to a sink. ScanJournalImage (journal_format.h) reads a crash
-// image back under the torn-tail truncation rule.
+// journal frames to a sink. ForEachJournalEntry (journal_format.h) reads a
+// crash image back under the torn-tail truncation rule.
 //
 // Faults are injected at the sink boundary, which is exactly where real
 // crashes land: named CrashPoints kill the simulated machine inside the

@@ -15,9 +15,7 @@
 namespace ccr {
 
 TxnManager::TxnManager(TxnManagerOptions options)
-    : options_(options),
-      recorder_(RecorderOptions{options.recorder_mode}),
-      directory_(options.stripe_count) {}
+    : options_(options), directory_(options.stripe_count) {}
 
 std::unique_ptr<AtomicObject> TxnManager::BuildObject(ObjectId id,
                                                       ObjectConfig config,

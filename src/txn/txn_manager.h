@@ -39,10 +39,6 @@ class ObjectStore;
 
 struct TxnManagerOptions {
   bool record_history = true;
-  // How the recorder takes events off the objects' hot paths: sharded
-  // buffers validated at snapshot time (default), or the eager global-mutex
-  // oracle that validates every append (see history_recorder.h).
-  RecorderMode recorder_mode = RecorderMode::kSharded;
   DeadlockPolicy policy = DeadlockPolicy::kDetect;
   std::chrono::milliseconds lock_timeout{500};
   int max_retries = 1000;
@@ -308,7 +304,8 @@ class TxnManager {
   // sequenced LSN; the caller owns the acknowledgment — typically
   // GroupCommitPipeline::OnDurable(lsn, ...) — and must not report the
   // commit to anyone before that point fires.
-  // kNoLsn means nothing was journaled (volatile objects): ack immediately.
+  // kNoLsn means nothing was journaled (no journal attached, or no op
+  // applied): ack immediately.
   // On error (e.g. kDeadlock when a kill won the arbitration, or a
   // fail-stopped pipeline's failure) the transaction is already aborted,
   // exactly like Commit.

@@ -41,9 +41,9 @@ void UipRecovery::CollectCommit(TxnId txn, OpSeq* redo) {
   // Hand the transaction's operations, in response order, to the caller's
   // commit record; marking the transaction committed and the log fold wait
   // for FinalizeCommit so the record's group-commit sync runs concurrently
-  // with them (and a refused record can still abort). A read-free
+  // with them (and a refused record can still abort). An op-free
   // transaction contributes nothing: an empty record redoes nothing and
-  // only bloats the journal and slows replay.
+  // only bloats the journal and slows replay. Reads are ops: they journal.
   if (journal_ != nullptr) {
     auto it = pending_ops_.find(txn);
     if (it != pending_ops_.end()) {

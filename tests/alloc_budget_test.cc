@@ -4,8 +4,8 @@
 // on every thread (the group-commit flusher included) by a counting global
 // operator new, for
 //
-//   * one 1-op Counter inc(1) commit, per {UIP+NRBC, DU+NFC} x {volatile
-//     journal, kSync, kGroup}, journaling to a sink that keeps nothing;
+//   * one 1-op Counter inc(1) commit, per {UIP+NRBC, DU+NFC} x {kSync,
+//     kGroup}, journaling to a sink that keeps nothing;
 //   * one lazily created UIP Counter, after one commit, and after
 //     EvictObject to a store that keeps nothing;
 //   * one journal record's frame, which must be encoded into one buffer
@@ -34,6 +34,7 @@
 #include "adt/counter.h"
 #include "adt/kv_store.h"
 #include "core/conflict_relation.h"
+#include "memory_log.h"
 #include "store/object_store.h"
 #include "txn/du_recovery.h"
 #include "txn/group_commit.h"
@@ -117,13 +118,6 @@ Cost Per(const Heap& before, const Heap& after, size_t units) {
                   static_cast<double>(units)};
 }
 
-// A journal disk that keeps nothing.
-class NullSink : public ByteSink {
- public:
-  Status Append(std::string_view) override { return Status::OK(); }
-  Status Sync() override { return Status::OK(); }
-};
-
 // An object store that keeps nothing: an eviction's Put costs nothing.
 class NullStore : public ObjectStore {
  public:
@@ -141,11 +135,10 @@ class NullStore : public ObjectStore {
 };
 
 enum class Method { kUip, kDu };
-enum class Journaling { kVolatile, kSync, kGroup };
 
 struct Row {
   Method method;
-  Journaling journaling;
+  DurabilityMode mode;
   // Ceilings: allocations per commit, and net heap bytes retained per
   // commit.
   double max_allocs;
@@ -164,10 +157,8 @@ constexpr double kMaxShellBytes = 1160;
 
 std::string RowName(const Row& row) {
   const char* method = row.method == Method::kUip ? "Uip" : "Du";
-  const char* journaling = row.journaling == Journaling::kVolatile ? "Volatile"
-                           : row.journaling == Journaling::kSync  ? "Sync"
-                                                                  : "Group";
-  return std::string(method) + journaling;
+  const char* mode = row.mode == DurabilityMode::kSync ? "Sync" : "Group";
+  return std::string(method) + mode;
 }
 
 void PrintTo(const Row& row, std::ostream* os) { *os << RowName(row); }
@@ -179,21 +170,10 @@ class CommitBudgetTest : public ::testing::TestWithParam<Row> {};
 TEST_P(CommitBudgetTest, OneOpCommit) {
   if (kSanitized) GTEST_SKIP() << "sanitizer allocators pad every block";
   const Row& row = GetParam();
-  NullSink sink;
-  JournalWriter writer(&sink);
-  std::unique_ptr<GroupCommitPipeline> pipeline;
-  if (row.journaling != Journaling::kVolatile) {
-    GroupCommitOptions options;
-    options.mode = row.journaling == Journaling::kSync ? DurabilityMode::kSync
-                                                       : DurabilityMode::kGroup;
-    pipeline = std::make_unique<GroupCommitPipeline>(&writer, options);
-  }
-  Journal journal;
-  journal.set_pipeline(pipeline.get());
+  BasicMemoryLog<NullSink> log(GroupCommitOptions{row.mode});
   TxnManagerOptions options;
   options.record_history = false;
   TxnManager manager(options);
-  manager.set_commit_pipeline(pipeline.get());
   const std::shared_ptr<Counter> counter = MakeCounter();
   std::unique_ptr<RecoveryManager> recovery;
   std::shared_ptr<const ConflictRelation> conflict;
@@ -204,9 +184,9 @@ TEST_P(CommitBudgetTest, OneOpCommit) {
     recovery = std::make_unique<DuRecovery>(counter);
     conflict = MakeNfcConflict(counter);
   }
-  AtomicObject* obj = manager.AddObject(counter->object_name(), counter,
-                                        conflict, std::move(recovery));
-  obj->recovery().set_journal(&journal);
+  manager.AddObject(counter->object_name(), counter, conflict,
+                    std::move(recovery));
+  log.Attach(&manager);
 
   const Invocation inc = counter->IncInv(1);
   const auto commit = [&] {
@@ -216,38 +196,33 @@ TEST_P(CommitBudgetTest, OneOpCommit) {
     ASSERT_TRUE(s.ok()) << s.ToString();
   };
   for (int i = 0; i < 2000; ++i) commit();
-  if (pipeline != nullptr) pipeline->Drain();
+  log.pipeline.Drain();
   const Heap before = Now();
   for (size_t i = 0; i < kCommits; ++i) commit();
-  if (pipeline != nullptr) pipeline->Drain();
+  log.pipeline.Drain();
   const Heap after = Now();
   const Cost cost = Per(before, after, kCommits);
 
-  const double frame_bytes =
-      static_cast<double>(EncodeJournalImage(journal).size()) /
-      static_cast<double>(journal.size());
+  const double frame_bytes = static_cast<double>(log.sink.bytes) /
+                             static_cast<double>(log.sink.frames);
   std::printf("%-12s %9.2f allocs/commit %9.1f B retained/commit "
               "(frame %.1f B, %zu commits)\n",
               RowName(row).c_str(), cost.allocs, cost.bytes, frame_bytes,
               kCommits);
   EXPECT_LE(cost.allocs, row.max_allocs);
   EXPECT_LE(cost.bytes, row.max_bytes);
-  if (row.journaling == Journaling::kVolatile) {
-    // The journal is the only thing a volatile commit keeps, and it keeps
-    // the record's frame, not a decoded copy.
-    EXPECT_LE(cost.bytes, 1.3 * frame_bytes);
-  }
+  // The journal's view is the only thing a commit keeps, and it keeps the
+  // record's frame, not a decoded copy.
+  EXPECT_LE(cost.bytes, 1.3 * frame_bytes);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Rows, CommitBudgetTest,
     ::testing::Values(
-        Row{Method::kUip, Journaling::kVolatile, 25.5, 42},
-        Row{Method::kUip, Journaling::kSync, 25.5, 53},
-        Row{Method::kUip, Journaling::kGroup, 27.5, 53},
-        Row{Method::kDu, Journaling::kVolatile, 24.5, 42},
-        Row{Method::kDu, Journaling::kSync, 24.5, 53},
-        Row{Method::kDu, Journaling::kGroup, 26.5, 53}),
+        Row{Method::kUip, DurabilityMode::kSync, 25.5, 42},
+        Row{Method::kUip, DurabilityMode::kGroup, 25.1, 42},
+        Row{Method::kDu, DurabilityMode::kSync, 24.5, 42},
+        Row{Method::kDu, DurabilityMode::kGroup, 24.1, 42}),
     [](const ::testing::TestParamInfo<Row>& info) {
       return RowName(info.param);
     });

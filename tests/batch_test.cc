@@ -19,6 +19,7 @@
 
 #include "adt/counter.h"
 #include "common/random.h"
+#include "memory_log.h"
 #include "sim/crash_harness.h"
 #include "txn/du_recovery.h"
 #include "txn/group_commit.h"
@@ -138,15 +139,8 @@ TEST_P(BatchTest, LazyCreateAndUnknownObject) {
 TEST_P(BatchTest, OneMultiObjectCommitRecord) {
   TxnManager manager;
   auto counters = AddCounters(&manager, GetParam(), 3);
-  MemorySink sink;
-  JournalWriter writer(&sink);
-  GroupCommitPipeline pipeline(&writer,
-                               GroupCommitOptions{DurabilityMode::kSync});
-  Journal journal;
-  journal.set_pipeline(&pipeline);  // durable: appends assign real LSNs
-  for (AtomicObject* obj : manager.objects()) {
-    obj->recovery().set_journal(&journal);
-  }
+  MemoryLog log;
+  log.Attach(&manager);
 
   auto batch_txn = manager.Begin();
   const std::vector<BatchOp> ops = {Op(counters[0]->IncInv(1)),
@@ -154,8 +148,8 @@ TEST_P(BatchTest, OneMultiObjectCommitRecord) {
                                     Op(counters[2]->IncInv(3))};
   ASSERT_TRUE(manager.ExecuteBatch(batch_txn.get(), ops).ok());
   ASSERT_TRUE(manager.Commit(batch_txn.get()).ok());
-  ASSERT_EQ(journal.size(), 1u);
-  const std::vector<Journal::Entry> entries = journal.Entries();
+  const std::vector<Journal::Entry> entries = log.Entries();
+  ASSERT_EQ(entries.size(), 1u);
   ASSERT_FALSE(entries[0].is_lifecycle);
   EXPECT_EQ(entries[0].commit.txn, batch_txn->id());
   std::set<ObjectId> named;
@@ -174,7 +168,7 @@ TEST_P(BatchTest, OneMultiObjectCommitRecord) {
     ASSERT_TRUE(manager.Execute(loose_txn.get(), op.inv).ok());
   }
   ASSERT_TRUE(manager.Commit(loose_txn.get()).ok());
-  EXPECT_EQ(journal.size(), 2u);
+  EXPECT_EQ(log.Entries().size(), 2u);
   for (const char* id : {"C0", "C1", "C2"}) {
     EXPECT_EQ(manager.object(id)->last_committed_lsn(), 2u) << id;
   }
@@ -184,13 +178,11 @@ TEST_P(BatchTest, OneMultiObjectCommitRecord) {
 // path: a fresh system recovers every object's batch effects.
 TEST_P(BatchTest, MultiObjectRecordReplaysThroughRestart) {
   const Method method = GetParam();
-  Journal journal;
+  MemoryLog log;
   {
     TxnManager manager;
     auto counters = AddCounters(&manager, method, 3);
-    for (AtomicObject* obj : manager.objects()) {
-      obj->recovery().set_journal(&journal);
-    }
+    log.Attach(&manager);
     for (int round = 1; round <= 4; ++round) {
       auto txn = manager.Begin();
       const std::vector<BatchOp> ops = {Op(counters[0]->IncInv(round)),
@@ -199,11 +191,11 @@ TEST_P(BatchTest, MultiObjectRecordReplaysThroughRestart) {
       ASSERT_TRUE(manager.ExecuteBatch(txn.get(), ops).ok());
       ASSERT_TRUE(manager.Commit(txn.get()).ok());
     }
-    ASSERT_EQ(journal.size(), 4u);
+    ASSERT_EQ(log.Entries().size(), 4u);
   }
   TxnManager restarted;
   AddCounters(&restarted, method, 3);
-  ASSERT_TRUE(restarted.RestartFromImage(EncodeJournalImage(journal)).ok());
+  ASSERT_TRUE(restarted.RestartFromImage(log.sink.image()).ok());
   EXPECT_EQ(CounterValue(restarted.object("C0")), 1 + 2 + 3 + 4);
   EXPECT_EQ(CounterValue(restarted.object("C1")), 2 * (1 + 2 + 3 + 4));
   EXPECT_EQ(CounterValue(restarted.object("C2")), 3 * (1 + 2 + 3 + 4));
@@ -239,16 +231,10 @@ class StuckSink : public ByteSink {
 // the group-commit ack path at all — with the sink's sync stuck shut, a
 // watermark wait would hang forever.
 TEST_P(BatchTest, ReadOnlyCommitSkipsWatermarkWait) {
-  StuckSink sink;
-  JournalWriter writer(&sink);
-  GroupCommitPipeline pipeline(&writer,
-                               GroupCommitOptions{DurabilityMode::kGroup});
-  Journal journal;
-  journal.set_pipeline(&pipeline);
+  BasicMemoryLog<StuckSink> log(GroupCommitOptions{DurabilityMode::kGroup});
   TxnManager manager;
   auto counters = AddCounters(&manager, GetParam(), 1);
-  manager.object("C0")->recovery().set_journal(&journal);
-  manager.set_commit_pipeline(&pipeline);
+  log.Attach(&manager);
 
   // Nothing executed, nothing journaled: Commit must return immediately.
   auto empty = manager.Begin();
@@ -264,10 +250,10 @@ TEST_P(BatchTest, ReadOnlyCommitSkipsWatermarkWait) {
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_FALSE(acked.load());
-  sink.Open();
+  log.sink.Open();
   committer.join();
   EXPECT_TRUE(acked.load());
-  pipeline.Drain();
+  log.pipeline.Drain();
 }
 
 // Batch-vs-batch deadlock freedom by construction: two threads drive
@@ -418,11 +404,8 @@ TEST_P(BatchTest, MidBatchFailureReleasesLocksAndJournalsNothing) {
   options.lock_timeout = std::chrono::milliseconds(50);
   TxnManager manager(options);
   auto counters = AddCounters(&manager, GetParam(), 3);
-  Journal journal;
-  manager.set_lifecycle_journal(&journal);
-  for (AtomicObject* obj : manager.objects()) {
-    obj->recovery().set_journal(&journal);
-  }
+  MemoryLog log;
+  log.Attach(&manager);
   // Seed C0 so the failed batch's inc would be visible if it leaked.
   {
     auto txn = manager.Begin();
@@ -430,7 +413,7 @@ TEST_P(BatchTest, MidBatchFailureReleasesLocksAndJournalsNothing) {
     ASSERT_TRUE(manager.ExecuteBatch(txn.get(), seed).ok());
     ASSERT_TRUE(manager.Commit(txn.get()).ok());
   }
-  const size_t records_before = journal.size();
+  const size_t records_before = log.Entries().size();
 
   // The blocker holds a read outcome on C2; an inc does not commute with
   // it, so the batch's C2 group waits until the lock timeout.
@@ -446,10 +429,10 @@ TEST_P(BatchTest, MidBatchFailureReleasesLocksAndJournalsNothing) {
   // groups' work must be confined to the transaction.
   StatusOr<std::vector<Value>> results = manager.ExecuteBatch(txn.get(), ops);
   ASSERT_FALSE(results.ok()) << "conflicting batch unexpectedly succeeded";
-  EXPECT_EQ(journal.size(), records_before)
+  EXPECT_EQ(log.Entries().size(), records_before)
       << "failed batch journaled a (partial) commit record";
   ASSERT_TRUE(manager.Abort(txn.get()).ok());
-  EXPECT_EQ(journal.size(), records_before);
+  EXPECT_EQ(log.Entries().size(), records_before);
   ASSERT_TRUE(manager.Abort(blocker.get()).ok());
 
   // Committed states never saw the failed batch.
@@ -463,7 +446,7 @@ TEST_P(BatchTest, MidBatchFailureReleasesLocksAndJournalsNothing) {
   results = manager.ExecuteBatch(retry.get(), ops);
   ASSERT_TRUE(results.ok()) << results.status().ToString();
   ASSERT_TRUE(manager.Commit(retry.get()).ok());
-  EXPECT_EQ(journal.size(), records_before + 1);
+  EXPECT_EQ(log.Entries().size(), records_before + 1);
   EXPECT_EQ(CounterValue(manager.object("C0")), 11);
   EXPECT_EQ(CounterValue(manager.object("C1")), 2);
   EXPECT_EQ(CounterValue(manager.object("C2")), 3);

@@ -33,6 +33,7 @@
 #include "common/random.h"
 #include "common/temp_path.h"
 #include "engine/engine.h"
+#include "memory_log.h"
 #include "sim/crash_harness.h"
 #include "txn/checkpoint.h"
 #include "txn/du_recovery.h"
@@ -158,10 +159,8 @@ TEST(CheckpointerTest, WriteLoadNewestAndTornFallback) {
   TempDir dir;
   TxnManager manager;
   TwoObjectFactory(&manager);
-  Journal journal;
-  for (AtomicObject* obj : manager.objects()) {
-    obj->recovery().set_journal(&journal);
-  }
+  MemoryLog log;
+  log.Attach(&manager);
   auto ba = MakeBankAccount();
   ASSERT_TRUE(manager
                   .RunTransaction([&](Transaction* txn) {
@@ -170,7 +169,7 @@ TEST(CheckpointerTest, WriteLoadNewestAndTornFallback) {
                   .ok());
 
   Checkpointer checkpointer(dir.path());
-  const Lsn anchor1 = journal.high_lsn();
+  const Lsn anchor1 = log.journal.high_lsn();
   ASSERT_TRUE(checkpointer.Write(&manager, anchor1).ok());
 
   ASSERT_TRUE(manager
@@ -178,7 +177,7 @@ TEST(CheckpointerTest, WriteLoadNewestAndTornFallback) {
                     return manager.Execute(txn, ba->WithdrawInv(5)).status();
                   })
                   .ok());
-  const Lsn anchor2 = journal.high_lsn();
+  const Lsn anchor2 = log.journal.high_lsn();
   ASSERT_TRUE(checkpointer.Write(&manager, anchor2).ok());
 
   // Newest wins; its per-object state reflects both transactions.
@@ -238,10 +237,8 @@ TEST(CheckpointerTest, EmptyDirLoadsEmptyImageAndGcKeepsTwo) {
 
   TxnManager manager;
   TwoObjectFactory(&manager);
-  Journal journal;
-  for (AtomicObject* obj : manager.objects()) {
-    obj->recovery().set_journal(&journal);
-  }
+  MemoryLog log;
+  log.Attach(&manager);
   auto ba = MakeBankAccount();
   Checkpointer checkpointer(dir.path());
   for (int i = 0; i < 4; ++i) {
@@ -250,7 +247,7 @@ TEST(CheckpointerTest, EmptyDirLoadsEmptyImageAndGcKeepsTwo) {
                       return manager.Execute(txn, ba->DepositInv(1)).status();
                     })
                     .ok());
-    ASSERT_TRUE(checkpointer.Write(&manager, journal.high_lsn()).ok());
+    ASSERT_TRUE(checkpointer.Write(&manager, log.journal.high_lsn()).ok());
   }
   // GC keeps the newest two checkpoint files (plus no tmp leftovers).
   StatusOr<std::vector<std::string>> names = ListDir(dir.path());
@@ -698,16 +695,17 @@ TEST(FailAtomicRestartTest, InMemoryRestartAlsoResets) {
   // withdraw cannot reproduce its journaled "ok" on a balance of 50. Either
   // way every object must come back at its initial state, whether the
   // buckets replay serially or in parallel.
-  const Journal alien({DepositRecord(1, 50), AlienRecord(2)});
-  const Journal stuck(
-      {Journal::CommitRecord{1, OpSeq{ba->Deposit(50), set->Insert(7)}},
-       Journal::CommitRecord{2, OpSeq{ba->WithdrawOk(1000)}}});
-  for (const Journal* journal : {&alien, &stuck}) {
+  const std::string alien =
+      EncodeCommitRecord(DepositRecord(1, 50)) +
+      EncodeCommitRecord(AlienRecord(2));
+  const std::string stuck =
+      EncodeCommitRecord({1, OpSeq{ba->Deposit(50), set->Insert(7)}}) +
+      EncodeCommitRecord({2, OpSeq{ba->WithdrawOk(1000)}});
+  for (const std::string* image : {&alien, &stuck}) {
     for (int threads : {1, 4}) {
       TxnManager manager;
       TwoObjectFactory(&manager);
-      ASSERT_EQ(manager.RestartFromImage(EncodeJournalImage(*journal),
-                                         {threads})
+      ASSERT_EQ(manager.RestartFromImage(*image, {threads})
                     .status()
                     .code(),
                 StatusCode::kInternal);
@@ -1043,10 +1041,8 @@ TEST(CheckpointerTest, GcIsBestEffortAndReportsFirstError) {
   TempDir dir;
   TxnManager manager;
   TwoObjectFactory(&manager);
-  Journal journal;
-  for (AtomicObject* obj : manager.objects()) {
-    obj->recovery().set_journal(&journal);
-  }
+  MemoryLog log;
+  log.Attach(&manager);
   auto ba = MakeBankAccount();
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(manager
@@ -1077,7 +1073,7 @@ TEST(CheckpointerTest, GcIsBestEffortAndReportsFirstError) {
   }
 
   Checkpointer checkpointer(dir.path(), CheckpointerOptions{.keep = 1});
-  const Lsn anchor = journal.high_lsn();
+  const Lsn anchor = log.journal.high_lsn();
   const StatusOr<Lsn> written = checkpointer.Write(&manager, anchor);
   // The new image is durable and loadable; the GC failure is reported.
   ASSERT_FALSE(written.ok()) << "unremovable image went unreported";
@@ -1105,7 +1101,7 @@ TEST(CheckpointerTest, GcIsBestEffortAndReportsFirstError) {
                   })
                   .ok());
   const StatusOr<Lsn> second =
-      checkpointer.Write(&manager, journal.high_lsn());
+      checkpointer.Write(&manager, log.journal.high_lsn());
   ASSERT_TRUE(second.ok()) << second.status().ToString();
 }
 

@@ -10,6 +10,7 @@
 #include "adt/bank_account.h"
 #include "adt/int_set.h"
 #include "common/random.h"
+#include "memory_log.h"
 #include "sim/crash_harness.h"
 #include "txn/du_recovery.h"
 #include "txn/group_commit.h"
@@ -53,31 +54,26 @@ struct ScriptedRun {
 
 ScriptedRun RunScript(Method method) {
   auto ba = MakeBankAccount();
-  MemorySink sink;
-  JournalWriter writer(&sink);
-  GroupCommitPipeline pipeline(&writer,
-                               GroupCommitOptions{DurabilityMode::kSync});
-  Journal journal;
-  journal.set_pipeline(&pipeline);
+  MemoryLog log;
   TxnManager manager;
-  AtomicObject* obj = manager.AddObject("BA", ba, MakeConflict(method, ba),
-                                        MakeRecovery(method, ba));
-  obj->recovery().set_journal(&journal);
+  manager.AddObject("BA", ba, MakeConflict(method, ba),
+                    MakeRecovery(method, ba));
+  log.Attach(&manager);
 
   const std::vector<Invocation> script = {
       ba->DepositInv(10), ba->WithdrawInv(3), ba->DepositInv(1),
       ba->WithdrawInv(2)};
   ScriptedRun run;
-  run.boundaries.push_back(sink.image().size());
+  run.boundaries.push_back(log.sink.image().size());
   for (const Invocation& inv : script) {
     CCR_CHECK(manager
                   .RunTransaction([&](Transaction* txn) {
                     return manager.Execute(txn, inv).status();
                   })
                   .ok());
-    run.boundaries.push_back(sink.image().size());
+    run.boundaries.push_back(log.sink.image().size());
   }
-  run.image = sink.image();
+  run.image = log.sink.image();
   run.balances = {0, 10, 7, 8, 6};
   return run;
 }
@@ -166,12 +162,12 @@ TEST_P(CrashRecoveryTest, ChecksumCorruptionSweep) {
 // not journal an empty commit record.
 TEST(EmptyRecordRegressionTest, UipReadFreeCommitJournalsNothing) {
   auto ba = MakeBankAccount();
-  Journal journal;
+  MemoryLog log;
   UipRecovery recovery(ba);
-  recovery.set_journal(&journal);
+  recovery.set_journal(&log.journal);
   recovery.Candidates(1, ba->BalanceInv());
   recovery.Commit(1);
-  EXPECT_EQ(journal.size(), 0u);
+  EXPECT_TRUE(log.sink.image().empty());
 
   // A transaction that does apply an operation still journals one record.
   auto outcomes = recovery.Candidates(2, ba->DepositInv(5));
@@ -179,28 +175,27 @@ TEST(EmptyRecordRegressionTest, UipReadFreeCommitJournalsNothing) {
   recovery.Apply(2, Operation(ba->DepositInv(5), outcomes[0].result),
                  std::move(outcomes[0].next));
   recovery.Commit(2);
-  EXPECT_EQ(journal.size(), 1u);
-  journal.ForEachRecord([](const Journal::CommitRecord& record) {
-    EXPECT_FALSE(record.ops.empty());
-  });
+  const std::vector<Journal::CommitRecord> records = log.Records();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_FALSE(records[0].ops.empty());
 }
 
 TEST(EmptyRecordRegressionTest, DuCandidatesOnlyCommitJournalsNothing) {
   auto ba = MakeBankAccount();
-  Journal journal;
+  MemoryLog log;
   DuRecovery recovery(ba);
-  recovery.set_journal(&journal);
+  recovery.set_journal(&log.journal);
   // Candidates alone materializes a DU workspace with no intentions.
   recovery.Candidates(1, ba->BalanceInv());
   recovery.Commit(1);
-  EXPECT_EQ(journal.size(), 0u);
+  EXPECT_TRUE(log.sink.image().empty());
 
   auto outcomes = recovery.Candidates(2, ba->DepositInv(5));
   ASSERT_EQ(outcomes.size(), 1u);
   recovery.Apply(2, Operation(ba->DepositInv(5), outcomes[0].result),
                  std::move(outcomes[0].next));
   recovery.Commit(2);
-  EXPECT_EQ(journal.size(), 1u);
+  EXPECT_EQ(log.Records().size(), 1u);
 }
 
 TEST_P(CrashRecoveryTest, MultiObjectScriptedRestart) {
@@ -216,15 +211,8 @@ TEST_P(CrashRecoveryTest, MultiObjectScriptedRestart) {
 
   TxnManager manager;
   make_system(&manager);
-  MemorySink sink;
-  JournalWriter writer(&sink);
-  GroupCommitPipeline pipeline(&writer,
-                               GroupCommitOptions{DurabilityMode::kSync});
-  Journal journal;
-  journal.set_pipeline(&pipeline);
-  for (AtomicObject* obj : manager.objects()) {
-    obj->recovery().set_journal(&journal);
-  }
+  MemoryLog log;
+  log.Attach(&manager);
 
   // Invocations name objects by id, so fresh ADT handles target the
   // registered objects.
@@ -249,9 +237,9 @@ TEST_P(CrashRecoveryTest, MultiObjectScriptedRestart) {
   TxnManager restarted;
   make_system(&restarted);
   const StatusOr<RestartSummary> summary =
-      restarted.RestartFromImage(sink.image());
+      restarted.RestartFromImage(log.sink.image());
   ASSERT_TRUE(summary.ok()) << summary.status().ToString();
-  EXPECT_EQ(summary->scan.records_replayed, journal.size());
+  EXPECT_EQ(summary->scan.records_replayed, log.Entries().size());
   for (AtomicObject* obj : restarted.objects()) {
     EXPECT_TRUE(obj->CommittedState()->Equals(
         *manager.object(obj->id())->CommittedState()))
@@ -266,21 +254,20 @@ TEST_P(CrashRecoveryTest, RestartDoesNotReJournalAndIdsAdvance) {
   const ScriptedRun run = RunScript(GetParam());  // journals txn ids 1..4
   auto ba = MakeBankAccount();
   TxnManager manager;
-  AtomicObject* obj = manager.AddObject("BA", ba, MakeConflict(GetParam(), ba),
-                                        MakeRecovery(GetParam(), ba));
-  Journal journal;
-  obj->recovery().set_journal(&journal);
+  manager.AddObject("BA", ba, MakeConflict(GetParam(), ba),
+                    MakeRecovery(GetParam(), ba));
+  MemoryLog log;
+  log.Attach(&manager);
   ASSERT_TRUE(manager.RestartFromImage(run.image).ok());
-  EXPECT_EQ(journal.size(), 0u);
+  EXPECT_TRUE(log.sink.image().empty());
   ASSERT_TRUE(manager
                   .RunTransaction([&](Transaction* txn) {
                     return manager.Execute(txn, ba->DepositInv(1)).status();
                   })
                   .ok());
-  ASSERT_EQ(journal.size(), 1u);
-  journal.ForEachRecord([](const Journal::CommitRecord& record) {
-    EXPECT_GT(record.txn, TxnId{4});
-  });
+  const std::vector<Journal::CommitRecord> records = log.Records();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_GT(records[0].txn, TxnId{4});
 }
 
 // Restart refuses to run while transactions are live — recovery is for a

@@ -27,6 +27,7 @@
 #include "core/commutativity.h"
 #include "core/operation.h"
 #include "engine/engine.h"
+#include "memory_log.h"
 #include "sim/crash_harness.h"
 #include "store/mem_store.h"
 #include "txn/checkpoint.h"
@@ -209,11 +210,11 @@ TEST(LifecycleTest, GetOrCreateUnknownFactoryIsNotFound) {
 // DEL) are refused before anything is built or journaled — not left to
 // abort the process when the lifecycle record is encoded.
 TEST(LifecycleTest, GetOrCreateRefusesIdsTheJournalCannotFrame) {
-  Journal journal;
+  MemoryLog log;
   TxnManager manager;
   RegisterCounterFactory(&manager);
-  manager.set_lifecycle_journal(&journal);
-  const Lsn before = journal.high_lsn();
+  log.Attach(&manager);
+  const Lsn before = log.journal.high_lsn();
   for (const std::string& id :
        {std::string("a b"), std::string("a\tb"), std::string("a\vb"),
         std::string(""), std::string("a\x7f" "b"),
@@ -224,11 +225,11 @@ TEST(LifecycleTest, GetOrCreateRefusesIdsTheJournalCannotFrame) {
         << "id '" << id << "'";
     EXPECT_EQ(manager.object(id), nullptr);
   }
-  EXPECT_EQ(journal.high_lsn(), before);
+  EXPECT_EQ(log.journal.high_lsn(), before);
   EXPECT_EQ(manager.directory_stats().creates, 0u);
   // The rule admits every printable, high-byte or punctuation id.
   EXPECT_TRUE(manager.GetOrCreate("k:50%-\xc3\xa9", kCounterFactory).ok());
-  EXPECT_EQ(journal.high_lsn(), before + 1);
+  EXPECT_EQ(log.journal.high_lsn(), before + 1);
 }
 
 TEST(LifecycleTest, DropUnknownObjectIsNotFound) {
@@ -237,10 +238,10 @@ TEST(LifecycleTest, DropUnknownObjectIsNotFound) {
 }
 
 TEST(LifecycleTest, CreateAndDropJournalLifecycleRecords) {
-  Journal journal;
+  MemoryLog log;
   TxnManager manager;
   RegisterCounterFactory(&manager);
-  manager.set_lifecycle_journal(&journal);
+  log.Attach(&manager);
 
   const StatusOr<AtomicObject*> created =
       manager.GetOrCreate("D", kCounterFactory);
@@ -264,7 +265,7 @@ TEST(LifecycleTest, CreateAndDropJournalLifecycleRecords) {
   ASSERT_TRUE(manager.GetOrCreate("D", kCounterFactory).ok());
   EXPECT_EQ(ReadCounter(&manager, "D"), 0);
 
-  const std::vector<Journal::Entry> entries = journal.Entries();
+  const std::vector<Journal::Entry> entries = log.Entries();
   // create, inc, read, drop, create, read (each committed read journals
   // its op too under UIP).
   ASSERT_EQ(entries.size(), 6u);
@@ -426,41 +427,39 @@ void ExpectStoryState(TxnManager* manager) {
   EXPECT_EQ(manager->objects().size(), 2u);
 }
 
+// The story logged under kGroup: the sink's bytes once the flusher has
+// written every batch.
 TEST(DynamicRestartTest, RestartRecreatesDropsAndResetsIncarnations) {
-  Journal journal;
+  MemoryLog log(GroupCommitOptions{DurabilityMode::kGroup});
   {
     TxnManager manager;
     RegisterCounterFactory(&manager);
-    manager.set_lifecycle_journal(&journal);
+    log.Attach(&manager);
     RunLifecycleStory(&manager);
   }
+  log.pipeline.Drain();
 
   TxnManager restarted;
   RegisterCounterFactory(&restarted);
-  ASSERT_TRUE(restarted.RestartFromImage(EncodeJournalImage(journal)).ok());
+  ASSERT_TRUE(restarted.RestartFromImage(log.sink.image()).ok());
   ExpectStoryState(&restarted);
 }
 
 TEST(DynamicRestartTest, RestartFromImageRecreatesDynamicObjects) {
-  MemorySink sink;
-  JournalWriter writer(&sink);
-  GroupCommitPipeline pipeline(&writer,
-                               GroupCommitOptions{DurabilityMode::kSync});
-  Journal journal;
-  journal.set_pipeline(&pipeline);
+  MemoryLog log;
   {
     TxnManager manager;
     RegisterCounterFactory(&manager);
-    manager.set_lifecycle_journal(&journal);
+    log.Attach(&manager);
     RunLifecycleStory(&manager);
   }
 
   TxnManager restarted;
   RegisterCounterFactory(&restarted);
   const StatusOr<RestartSummary> summary =
-      restarted.RestartFromImage(sink.image());
+      restarted.RestartFromImage(log.sink.image());
   ASSERT_TRUE(summary.ok()) << summary.status().ToString();
-  EXPECT_EQ(summary->scan.records_replayed, journal.size());
+  EXPECT_EQ(summary->scan.records_replayed, log.Entries().size());
   ExpectStoryState(&restarted);
 }
 
@@ -518,15 +517,11 @@ TEST(DynamicRestartTest, RestartFromDirReplaysLifecycleAcrossCheckpoint) {
 }
 
 TEST(DynamicRestartTest, RestartFailsAtomicallyOnUnregisteredFactory) {
-  std::vector<Journal::Entry> entries;
-  entries.push_back(Journal::Entry::Lifecycle(
+  const std::string image = EncodeEntryRecord(Journal::Entry::Lifecycle(
       LifecycleRecord{LifecycleRecord::Kind::kCreate, "X", "nope"}));
-  const Journal journal(std::move(entries));
 
   TxnManager restarted;  // no factory registered
-  EXPECT_EQ(restarted.RestartFromImage(EncodeJournalImage(journal))
-                .status()
-                .code(),
+  EXPECT_EQ(restarted.RestartFromImage(image).status().code(),
             StatusCode::kInternal);
   // Fail-atomic: the half-replayed create was never published.
   EXPECT_EQ(restarted.object("X"), nullptr);
@@ -553,20 +548,38 @@ std::unique_ptr<MemObjectStore> CopyStore(MemObjectStore* from) {
   return copy;
 }
 
+// Appends every frame to the segmented journal and to an in-memory image,
+// which keeps the records truncation deletes from the directory.
+struct TeeSink : ByteSink {
+  explicit TeeSink(ByteSink* journal) : journal(journal) {}
+
+  Status Append(std::string_view bytes) override {
+    CCR_RETURN_IF_ERROR(journal->Append(bytes));
+    return image.Append(bytes);
+  }
+  Status Sync() override { return journal->Sync(); }
+
+  ByteSink* const journal;
+  MemorySink image;
+};
+
 TEST(RestartParityTest, AllThreeSourcesRestartIdentically) {
   TempDir dir;
   MemObjectStore store;
-  Journal journal;
+  std::string image;
   Lsn anchor = 0;
+  Lsn high = 0;
   {
     SegmentedSinkOptions sink_options;
     sink_options.max_segment_bytes = 64;  // rotate, so truncation bites
     StatusOr<std::unique_ptr<SegmentedFileSink>> sink =
         SegmentedFileSink::Open(dir.path(), 1, sink_options);
     ASSERT_TRUE(sink.ok());
-    JournalWriter writer(sink->get());
+    TeeSink tee(sink->get());
+    JournalWriter writer(&tee);
     GroupCommitPipeline pipeline(&writer,
                                  GroupCommitOptions{DurabilityMode::kSync});
+    Journal journal;
     journal.set_pipeline(&pipeline);
 
     TxnManager manager;
@@ -603,9 +616,9 @@ TEST(RestartParityTest, AllThreeSourcesRestartIdentically) {
     ASSERT_TRUE(manager.GetOrCreate("S", kCounterFactory).ok());
     ASSERT_TRUE(CommitInc(&manager, "S", 1).ok());
     ASSERT_TRUE(manager.DropObject("S").ok());
-    journal.set_pipeline(nullptr);
+    image = tee.image.image();
+    high = journal.high_lsn();
   }
-  const std::string image = EncodeJournalImage(journal);
 
   // The store outlives its manager (declared first, destroyed last).
   struct Restarted {
@@ -637,7 +650,7 @@ TEST(RestartParityTest, AllThreeSourcesRestartIdentically) {
   const Restarted& base = runs.front();
   EXPECT_TRUE(base.summary.from_store);
   EXPECT_EQ(base.summary.checkpoint_anchor, anchor);
-  EXPECT_EQ(base.summary.high_lsn, journal.high_lsn());
+  EXPECT_EQ(base.summary.high_lsn, high);
   EXPECT_GE(base.summary.tail_skipped, 1u);     // P's overshoot
   EXPECT_EQ(base.summary.objects_dropped, 1u);  // S
   EXPECT_EQ(ReadCounter(base.manager.get(), "P"), 5 + 1 + 3);

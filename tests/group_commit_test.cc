@@ -24,6 +24,7 @@
 #include "adt/int_set.h"
 #include "common/random.h"
 #include "common/string_util.h"
+#include "memory_log.h"
 #include "sim/crash_harness.h"
 #include "txn/du_recovery.h"
 #include "txn/group_commit.h"
@@ -181,29 +182,29 @@ class FailingSink : public ByteSink {
   std::string image_;
 };
 
-// One bank account journaled through a pipeline in `mode`. The pieces are
-// wired exactly as a deployment would: journal -> pipeline -> writer ->
-// sink, with the manager acking against the pipeline's watermark.
+// One bank account journaled through a pipeline in `mode` into a `Sink`
+// the system owns (BasicMemoryLog), with the manager acking against the
+// pipeline's watermark.
+template <typename Sink>
 struct PipelinedSystem {
-  explicit PipelinedSystem(GroupCommitOptions gc, ByteSink* sink,
+  explicit PipelinedSystem(GroupCommitOptions gc,
                            Method method = Method::kUip)
-      : writer(sink), pipeline(&writer, gc) {
-    ba = MakeBankAccount();
-    journal.set_pipeline(&pipeline);
+      : ba(MakeBankAccount()), log(gc) {
     manager.AddObject("BA", ba, MakeConflict(method, ba),
                       MakeRecovery(method, ba));
-    manager.object("BA")->recovery().set_journal(&journal);
-    manager.set_commit_pipeline(&pipeline);
+    log.Attach(&manager);
   }
 
   std::shared_ptr<BankAccount> ba;
-  JournalWriter writer;
-  GroupCommitPipeline pipeline;
-  Journal journal;
+  BasicMemoryLog<Sink> log;
+  GroupCommitPipeline& pipeline = log.pipeline;
+  Journal& journal = log.journal;
   TxnManager manager;
 };
 
-Status Deposit(PipelinedSystem* sys, Transaction* txn, int64_t amount) {
+template <typename Sink>
+Status Deposit(PipelinedSystem<Sink>* sys, Transaction* txn,
+               int64_t amount) {
   return sys->manager.Execute(txn, sys->ba->DepositInv(amount)).status();
 }
 
@@ -211,13 +212,12 @@ Status Deposit(PipelinedSystem* sys, Transaction* txn, int64_t amount) {
 // LSN is durable: after every Commit, the watermark covers the whole
 // journal (single-threaded, so this transaction's record is the tail).
 TEST(GroupCommitTest, CommitAcksOnlyDurableRecords) {
-  MemorySink sink;
-  PipelinedSystem sys(GroupCommitOptions{DurabilityMode::kGroup}, &sink);
+  PipelinedSystem<MemorySink> sys(GroupCommitOptions{DurabilityMode::kGroup});
   for (int i = 0; i < 20; ++i) {
     auto txn = sys.manager.Begin();
     ASSERT_TRUE(Deposit(&sys, txn.get(), 5).ok());
     ASSERT_TRUE(sys.manager.Commit(txn.get()).ok());
-    EXPECT_GE(sys.pipeline.durable_lsn(), sys.journal.size())
+    EXPECT_GE(sys.pipeline.durable_lsn(), sys.journal.high_lsn())
         << "commit " << i << " acknowledged before its record was durable";
   }
   const GroupCommitStats stats = sys.pipeline.stats();
@@ -229,8 +229,9 @@ TEST(GroupCommitTest, CommitAcksOnlyDurableRecords) {
 // kSync is the per-record baseline: every record is its own batch and its
 // own sync, durable before Sequence even returns.
 TEST(GroupCommitTest, SyncModeSyncsPerRecord) {
-  FailingSink sink;  // never fails: counts the syncs the sink really saw
-  PipelinedSystem sys(GroupCommitOptions{DurabilityMode::kSync}, &sink);
+  PipelinedSystem<FailingSink> sys(GroupCommitOptions{DurabilityMode::kSync});
+  // Never fails: counts the syncs the sink really saw.
+  FailingSink& sink = sys.log.sink;
   for (int i = 0; i < 8; ++i) {
     auto txn = sys.manager.Begin();
     ASSERT_TRUE(Deposit(&sys, txn.get(), 1).ok());
@@ -248,16 +249,17 @@ TEST(GroupCommitTest, SyncModeSyncsPerRecord) {
 // kRelaxed acknowledges before durability: Commit returns with the
 // watermark possibly behind the journal; Drain closes the gap.
 TEST(GroupCommitTest, RelaxedModeAcksBeforeDurability) {
-  GatedSink sink;
-  PipelinedSystem sys(GroupCommitOptions{DurabilityMode::kRelaxed}, &sink);
+  PipelinedSystem<GatedSink> sys(
+      GroupCommitOptions{DurabilityMode::kRelaxed});
+  GatedSink& sink = sys.log.sink;
   auto txn = sys.manager.Begin();
   ASSERT_TRUE(Deposit(&sys, txn.get(), 7).ok());
   // The gate is closed: nothing can become durable, yet the commit acks.
   ASSERT_TRUE(sys.manager.Commit(txn.get()).ok());
-  EXPECT_LT(sys.pipeline.durable_lsn(), sys.journal.size());
+  EXPECT_LT(sys.pipeline.durable_lsn(), sys.journal.high_lsn());
   sink.Open();
   sys.pipeline.Drain();
-  EXPECT_EQ(sys.pipeline.durable_lsn(), sys.journal.size());
+  EXPECT_EQ(sys.pipeline.durable_lsn(), sys.journal.high_lsn());
 }
 
 // Early lock release, the tentpole property: while a committed batch's
@@ -265,8 +267,8 @@ TEST(GroupCommitTest, RelaxedModeAcksBeforeDurability) {
 // can execute at the object — under the per-record baseline it would be
 // stuck behind the sync inside the object critical section.
 TEST(GroupCommitTest, ConflictingExecuteProceedsDuringGroupSync) {
-  GatedSink sink;
-  PipelinedSystem sys(GroupCommitOptions{DurabilityMode::kGroup}, &sink);
+  PipelinedSystem<GatedSink> sys(GroupCommitOptions{DurabilityMode::kGroup});
+  GatedSink& sink = sys.log.sink;
   // Read/write conflicts make any two deposits conflict, so T2 below
   // genuinely needs T1's operation locks released.
   auto rw = MakeBankAccount("RW");
@@ -337,9 +339,9 @@ class SlowSink : public ByteSink {
 // must (a) flush everything, (b) use strictly fewer syncs than records,
 // and (c) keep the recovered state equal to the committed one.
 TEST(GroupCommitTest, ConcurrentCommittersShareSyncs) {
-  SlowSink sink;
   GroupCommitOptions gc{DurabilityMode::kGroup};
-  PipelinedSystem sys(gc, &sink);
+  PipelinedSystem<SlowSink> sys(gc);
+  SlowSink& sink = sys.log.sink;
   constexpr int kThreads = 8;
   constexpr int kTxnsPerThread = 25;
   std::vector<std::thread> workers;
@@ -381,8 +383,8 @@ TEST(GroupCommitTest, ConcurrentCommittersShareSyncs) {
 // torn tails truncate to the last whole record, damage to the durable
 // prefix is rejected loudly.
 TEST(GroupCommitTest, BatchedImageCorruptionContract) {
-  MemorySink sink;
-  PipelinedSystem sys(GroupCommitOptions{DurabilityMode::kGroup}, &sink);
+  PipelinedSystem<MemorySink> sys(GroupCommitOptions{DurabilityMode::kGroup});
+  MemorySink& sink = sys.log.sink;
   for (int i = 0; i < 6; ++i) {
     auto txn = sys.manager.Begin();
     ASSERT_TRUE(Deposit(&sys, txn.get(), 2).ok());
@@ -395,8 +397,11 @@ TEST(GroupCommitTest, BatchedImageCorruptionContract) {
   {
     const std::string torn = image.substr(0, image.size() - 3);
     RecoveryReport report;
-    auto scanned = ScanJournalImage(torn, &report);
-    ASSERT_TRUE(scanned.ok());
+    ASSERT_TRUE(ForEachJournalEntry(
+                    torn, /*after_lsn=*/0,
+                    [](Lsn, Journal::Entry&&) { return Status::OK(); },
+                    &report)
+                    .ok());
     EXPECT_EQ(report.records_replayed, 5u);
     EXPECT_TRUE(report.corrupt_tail);
   }
@@ -511,8 +516,8 @@ INSTANTIATE_TEST_SUITE_P(
 // In kGroup mode a callback registered past the watermark must not fire
 // until the flusher's sync completes, and callbacks fire in LSN order.
 TEST(OnDurableTest, FiresAfterSyncInLsnOrder) {
-  GatedSink sink;
-  PipelinedSystem sys(GroupCommitOptions{DurabilityMode::kGroup}, &sink);
+  PipelinedSystem<GatedSink> sys(GroupCommitOptions{DurabilityMode::kGroup});
+  GatedSink& sink = sys.log.sink;
 
   auto t1 = sys.manager.Begin();
   ASSERT_TRUE(Deposit(&sys, t1.get(), 1).ok());
@@ -555,8 +560,7 @@ TEST(OnDurableTest, FiresAfterSyncInLsnOrder) {
 
 // A callback for an already-durable LSN (or kNoLsn) runs inline.
 TEST(OnDurableTest, AlreadyDurableRunsInline) {
-  MemorySink sink;
-  PipelinedSystem sys(GroupCommitOptions{DurabilityMode::kGroup}, &sink);
+  PipelinedSystem<MemorySink> sys(GroupCommitOptions{DurabilityMode::kGroup});
   auto t1 = sys.manager.Begin();
   ASSERT_TRUE(Deposit(&sys, t1.get(), 5).ok());
   ASSERT_TRUE(sys.manager.Commit(t1.get()).ok());  // waits durable
@@ -592,10 +596,10 @@ class FailStopTest
 // restart from the sink's bytes recovers every commit that returned OK.
 TEST_P(FailStopTest, FailureFailsEveryWaiterAndStopsTheSink) {
   const auto [mode, fault] = GetParam();
-  FailingSink sink;
   GroupCommitOptions gc{mode};
   gc.max_delay_us = 10'000'000;  // only waiters flush: the test sets the pace
-  PipelinedSystem sys(gc, &sink);
+  PipelinedSystem<FailingSink> sys(gc);
+  FailingSink& sink = sys.log.sink;
   const auto deposit_commit = [&](int64_t amount) {
     auto txn = sys.manager.Begin();
     EXPECT_TRUE(Deposit(&sys, txn.get(), amount).ok());

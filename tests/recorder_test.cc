@@ -1,8 +1,8 @@
 // Copyright 2026 The ccr Authors.
 //
 // Tests for the sharded, validation-deferred history recorder: ticket-order
-// determinism (sharded snapshots are event-for-event what the eager oracle
-// records on the same schedule), snapshot well-formedness under concurrent
+// determinism (snapshots are event-for-event the real-time order of a
+// deterministic schedule), snapshot well-formedness under concurrent
 // recording with mid-run snapshots, the snapshot prefix property, and
 // per-object consistency between recorded responses and engine counters.
 
@@ -25,9 +25,8 @@ namespace {
 
 using std::chrono::milliseconds;
 
-TxnManagerOptions WithMode(RecorderMode mode) {
+TxnManagerOptions Options() {
   TxnManagerOptions options;
-  options.recorder_mode = mode;
   options.lock_timeout = milliseconds(10000);
   return options;
 }
@@ -47,28 +46,42 @@ void RunDeterministicSchedule(TxnManager* manager,
   ASSERT_TRUE(manager->Abort(b.get()).ok());
 }
 
-// On a deterministic schedule the sharded snapshot must be byte-for-byte
-// the event sequence the eager oracle records: the ticket merge reproduces
-// real-time append order exactly.
+// On a deterministic schedule the snapshot must be event-for-event the
+// schedule's real-time order, as the eager validating recorder records
+// it (the expected sequence is that recorder's output): the ticket merge
+// reproduces append order exactly.
 TEST(RecorderTest, ShardedMatchesEagerOnDeterministicSchedule) {
-  History histories[2];
-  const RecorderMode modes[2] = {RecorderMode::kSharded, RecorderMode::kEager};
-  for (int i = 0; i < 2; ++i) {
-    TxnManager manager(WithMode(modes[i]));
-    auto ba = MakeBankAccount();
-    auto ctr = MakeCounter("CTR");
-    manager.AddObject("BA", ba, MakeNrbcConflict(ba),
-                      std::make_unique<UipRecovery>(ba));
-    manager.AddObject("CTR", ctr, MakeNrbcConflict(ctr),
-                      std::make_unique<UipRecovery>(ctr));
-    RunDeterministicSchedule(&manager, ba, ctr);
-    histories[i] = manager.SnapshotHistory();
-  }
-  ASSERT_EQ(histories[0].size(), histories[1].size());
-  for (size_t i = 0; i < histories[0].size(); ++i) {
-    EXPECT_TRUE(histories[0].at(i) == histories[1].at(i))
-        << "event " << i << ": sharded " << histories[0].at(i).ToString()
-        << " vs eager " << histories[1].at(i).ToString();
+  TxnManager manager(Options());
+  auto ba = MakeBankAccount();
+  auto ctr = MakeCounter("CTR");
+  manager.AddObject("BA", ba, MakeNrbcConflict(ba),
+                    std::make_unique<UipRecovery>(ba));
+  manager.AddObject("CTR", ctr, MakeNrbcConflict(ctr),
+                    std::make_unique<UipRecovery>(ctr));
+  RunDeterministicSchedule(&manager, ba, ctr);
+  const History h = manager.SnapshotHistory();
+
+  // a = T1 and b = T2; T1 commits at BA then CTR (ascending id order), T2
+  // aborts at each object it touched, in the order it touched them.
+  const std::vector<Event> expected = {
+      Event::Invoke(1, ba->DepositInv(10)),
+      Event::Response(1, "BA", Value("ok")),
+      Event::Invoke(2, ctr->IncInv(3)),
+      Event::Response(2, "CTR", Value("ok")),
+      Event::Invoke(1, ctr->IncInv(1)),
+      Event::Response(1, "CTR", Value("ok")),
+      Event::Invoke(2, ba->DepositInv(7)),
+      Event::Response(2, "BA", Value("ok")),
+      Event::Commit(1, "BA"),
+      Event::Commit(1, "CTR"),
+      Event::Abort(2, "CTR"),
+      Event::Abort(2, "BA"),
+  };
+  ASSERT_EQ(h.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_TRUE(h.at(i) == expected[i])
+        << "event " << i << ": " << h.at(i).ToString() << " vs "
+        << expected[i].ToString();
   }
 }
 
@@ -121,8 +134,7 @@ TEST(RecorderTest, ConcurrentRecordingSnapshotsWellFormed) {
   constexpr int kTxnsPerThread = 30;
   constexpr int kObjects = 4;
 
-  TxnManagerOptions options = WithMode(RecorderMode::kSharded);
-  TxnManager manager(options);
+  TxnManager manager(Options());
   std::vector<std::shared_ptr<Counter>> objs;
   for (int i = 0; i < kObjects; ++i) {
     auto ctr = MakeCounter("C" + std::to_string(i));
@@ -206,7 +218,7 @@ TEST(RecorderTest, ConcurrentRecordingSnapshotsWellFormed) {
 // The sharded merge also carries failure paths (kills, timeouts, aborts
 // with pending invocations) without tripping the merge-time validation.
 TEST(RecorderTest, ShardedSnapshotSurvivesFailurePaths) {
-  TxnManagerOptions options = WithMode(RecorderMode::kSharded);
+  TxnManagerOptions options = Options();
   options.policy = DeadlockPolicy::kTimeout;
   options.lock_timeout = milliseconds(50);
   TxnManager manager(options);
@@ -230,22 +242,16 @@ TEST(RecorderTest, ShardedSnapshotSurvivesFailurePaths) {
 
 TEST(RecorderTest, StatsAndModeAccessors) {
   const Invocation inv("X", 0, "op", {});
-  HistoryRecorder sharded;
-  EXPECT_EQ(sharded.mode(), RecorderMode::kSharded);
-  EXPECT_EQ(sharded.size(), 0u);
-  sharded.Record(Event::Invoke(1, inv));
-  sharded.Record(Event::Response(1, "X", Value("ok")));
-  EXPECT_EQ(sharded.size(), 2u);
-  EXPECT_EQ(sharded.stats().events, 2u);
-  EXPECT_EQ(sharded.stats().snapshots, 0u);
-  EXPECT_EQ(sharded.Snapshot().size(), 2u);
-  EXPECT_EQ(sharded.stats().snapshots, 1u);
-
-  HistoryRecorder eager(RecorderOptions{RecorderMode::kEager});
-  EXPECT_EQ(eager.mode(), RecorderMode::kEager);
-  eager.Record(Event::Invoke(1, inv));
-  EXPECT_EQ(eager.size(), 1u);
-  EXPECT_EQ(eager.Snapshot().size(), 1u);
+  HistoryRecorder recorder;
+  EXPECT_EQ(recorder.size(), 0u);
+  EXPECT_EQ(recorder.stats().shards, 1u);  // the default shard
+  recorder.Record(Event::Invoke(1, inv));
+  recorder.Record(Event::Response(1, "X", Value("ok")));
+  EXPECT_EQ(recorder.size(), 2u);
+  EXPECT_EQ(recorder.stats().events, 2u);
+  EXPECT_EQ(recorder.stats().snapshots, 0u);
+  EXPECT_EQ(recorder.Snapshot().size(), 2u);
+  EXPECT_EQ(recorder.stats().snapshots, 1u);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "common/random.h"
 #include "adt/int_set.h"
 #include "adt/semiqueue.h"
+#include "memory_log.h"
 #include "txn/du_recovery.h"
 #include "txn/journal.h"
 #include "txn/uip_recovery.h"
@@ -136,9 +137,9 @@ TEST(UipAccountingTest, RandomizedScheduleMatchesFullScanShadow) {
        {UipUndoStrategy::kReplay, UipUndoStrategy::kInverse}) {
     for (uint64_t seed = 0; seed < 8; ++seed) {
       auto ba = MakeBankAccount();
-      Journal journal;
+      MemoryLog log;
       UipRecovery rm(ba, strategy);
-      rm.set_journal(&journal);
+      rm.set_journal(&log.journal);
 
       struct ShadowEntry {
         TxnId txn;
@@ -202,8 +203,9 @@ TEST(UipAccountingTest, RandomizedScheduleMatchesFullScanShadow) {
             }
             rm.Commit(txn);
             ++expected_records;
-            ASSERT_EQ(journal.size(), expected_records);
-            const Journal::CommitRecord rec = journal.Records().back();
+            const std::vector<Journal::CommitRecord> records = log.Records();
+            ASSERT_EQ(records.size(), expected_records);
+            const Journal::CommitRecord& rec = records.back();
             EXPECT_EQ(rec.txn, txn);
             ASSERT_EQ(rec.ops.size(), expected.size());
             for (size_t i = 0; i < expected.size(); ++i) {

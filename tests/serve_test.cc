@@ -19,6 +19,7 @@
 
 #include "adt/counter.h"
 #include "common/random.h"
+#include "memory_log.h"
 #include "serve/frontend.h"
 #include "serve/wire.h"
 #include "sim/crash_harness.h"
@@ -66,18 +67,14 @@ class FailingSink : public MemorySink {
 // destroyed) before this fixture: acks ride the pipeline's flusher.
 struct ServedSystem {
   explicit ServedSystem(DurabilityMode mode = DurabilityMode::kGroup)
-      : writer(&sink), pipeline(&writer, GroupCommitOptions{mode}) {
-    journal.set_pipeline(&pipeline);
+      : log(GroupCommitOptions{mode}) {
     for (int i = 0; i < kKeys; ++i) {
       auto ctr = MakeCounter("C" + std::to_string(i));
       manager.AddObject(ctr->object_name(), ctr, MakeNrbcConflict(ctr),
                         std::make_unique<UipRecovery>(ctr));
       counters.push_back(std::move(ctr));
     }
-    for (AtomicObject* obj : manager.objects()) {
-      obj->recovery().set_journal(&journal);
-    }
-    manager.set_commit_pipeline(&pipeline);
+    log.Attach(&manager);
   }
 
   // One increment on counter `key` (mod the bank size).
@@ -86,18 +83,16 @@ struct ServedSystem {
     return BatchOp{ctr.object_name(), "", ctr.IncInv(1)};
   }
 
-  uint64_t JournalOps() const {
+  // Ops in the commit records the sink received.
+  uint64_t JournalOps() {
     uint64_t ops = 0;
-    for (const Journal::Entry& entry : journal.Entries()) {
-      if (!entry.is_lifecycle) ops += entry.commit.ops.size();
+    for (const Journal::CommitRecord& record : log.Records()) {
+      ops += record.ops.size();
     }
     return ops;
   }
 
-  FailingSink sink;
-  JournalWriter writer;
-  GroupCommitPipeline pipeline;
-  Journal journal;
+  BasicMemoryLog<FailingSink> log;
   TxnManager manager;
   std::vector<std::shared_ptr<Counter>> counters;
 };
@@ -133,7 +128,7 @@ TEST(ServeFrontendTest, CoalescesSubmissionsIntoOneRecord) {
   frontend.Drain();
 
   EXPECT_EQ(acked.load(), kSubs);
-  EXPECT_EQ(sys.journal.size(), 1u);  // ONE record for the whole group
+  EXPECT_EQ(sys.log.Entries().size(), 1u);  // ONE record for the group
   EXPECT_EQ(sys.JournalOps(), static_cast<uint64_t>(kSubs) * 2);
   const ServeStats stats = frontend.stats();
   EXPECT_EQ(stats.coalesced_txns, 1u);
@@ -259,7 +254,6 @@ TEST(ServeFrontendTest, UnframableIdFailsOnlyItsSubmission) {
     config.recovery = std::make_unique<UipRecovery>(ctr);
     return config;
   });
-  sys.manager.set_lifecycle_journal(&sys.journal);
   ServeFrontend frontend(&sys.manager, ManualDrive());
   std::atomic<int> ok{0};
   std::atomic<int> refused{0};
@@ -289,7 +283,7 @@ TEST(ServeFrontendTest, UnframableIdFailsOnlyItsSubmission) {
   EXPECT_EQ(sys.manager.object("a b"), nullptr);
   // Only the good submissions reached the journal: no create record.
   EXPECT_EQ(sys.JournalOps(), 2u);
-  for (const Journal::Entry& entry : sys.journal.Entries()) {
+  for (const Journal::Entry& entry : sys.log.Entries()) {
     EXPECT_FALSE(entry.is_lifecycle);
   }
   frontend.Stop();
@@ -335,17 +329,18 @@ TEST(ServeFrontendTest, PoisonedPipelineFailsQueuedSubmissions) {
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(frontend.SubmitAsync({sys.Inc(i)}, expect_unavailable).ok());
   }
-  sys.sink.Fail();
+  sys.log.sink.Fail();
   // The first group executes and sequences its record; the flusher's
   // append fails and the pipeline poisons, failing the group's acks.
   ASSERT_EQ(frontend.PumpOnce(), 2u);
-  sys.pipeline.Drain();
-  EXPECT_EQ(sys.pipeline.status().code(), StatusCode::kUnavailable);
+  sys.log.pipeline.Drain();
+  EXPECT_EQ(sys.log.pipeline.status().code(), StatusCode::kUnavailable);
   EXPECT_EQ(failed.load(), 2);
   // The queued group is failed without being executed.
   ASSERT_EQ(frontend.PumpOnce(), 2u);
   EXPECT_EQ(failed.load(), 4);
-  EXPECT_EQ(sys.journal.size(), 1u);  // only the first group's record
+  // Only the first group's record was sequenced.
+  EXPECT_EQ(sys.log.pipeline.stats().records_sequenced, 1u);
   // New submissions are shed with the failure; their completion never
   // fires.
   EXPECT_EQ(frontend.SubmitAsync({sys.Inc(5)}, expect_unavailable).code(),
@@ -357,8 +352,8 @@ TEST(ServeFrontendTest, PoisonedPipelineFailsQueuedSubmissions) {
   EXPECT_EQ(stats.completed_ok, 0u);
   EXPECT_EQ(stats.completed_error, stats.accepted);
   EXPECT_EQ(stats.shed, 1u);
-  EXPECT_TRUE(sys.sink.image().empty());
-  EXPECT_EQ(sys.sink.calls_after_failure(), 0);
+  EXPECT_TRUE(sys.log.sink.image().empty());
+  EXPECT_EQ(sys.log.sink.calls_after_failure(), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -567,7 +562,7 @@ TEST(OpenLoopTest, AccountingBalances) {
       },
       loop);
   frontend.Stop();
-  sys.pipeline.Drain();
+  sys.log.pipeline.Drain();
   EXPECT_EQ(result.submitted, 300u);
   EXPECT_EQ(built.load(), 300u);
   EXPECT_EQ(result.completed_ok + result.completed_error + result.shed,

@@ -27,6 +27,7 @@
 #include "common/random.h"
 #include "common/temp_path.h"
 #include "engine/engine.h"
+#include "memory_log.h"
 #include "sim/crash_harness.h"
 #include "store/log_store.h"
 #include "store/mem_store.h"
@@ -399,20 +400,22 @@ Invocation ReadInv(const ObjectId& id) {
   return Invocation(id, Counter::kRead, "read", {});
 }
 
-// A manager journaling to an in-memory Journal, with a MemObjectStore
-// attached: the smallest world where eviction, fault-in, store
-// checkpoints, and a restart from the journal's image all compose.
+// A manager journaling to a MemoryLog, with a MemObjectStore attached: the
+// smallest world where eviction, fault-in, store checkpoints, and a restart
+// from the journal's image all compose. Unjournaled, its commits sequence
+// at kNoLsn.
 struct StoreWorld {
-  TempDir dir;  // checkpointer home (unused unless also_write_file)
-  MemObjectStore store;
-  TxnManager manager;
-  Journal journal;
-
-  explicit StoreWorld(TxnManagerOptions options = {}) : manager(options) {
+  explicit StoreWorld(TxnManagerOptions options = {}, bool journaled = true)
+      : manager(options) {
     RegisterCounterFactory(&manager);
     manager.set_object_store(&store);
-    manager.set_lifecycle_journal(&journal);
+    if (journaled) log.Attach(&manager);
   }
+
+  TempDir dir;  // checkpointer home (unused unless also_write_file)
+  MemObjectStore store;
+  MemoryLog log;
+  TxnManager manager;
 
   Status Inc(const std::string& id, int64_t amount) {
     return manager.RunTransaction([&](Transaction* txn) {
@@ -467,12 +470,12 @@ TEST(EvictionTest, EvictThenExecuteFaultsBackIn) {
 }
 
 // Regression: the two-phase eviction gap must detect a commit that starts
-// AND finishes between BeginEvict and FinishEvict. With a volatile journal
-// every commit sequences at kNoLsn, so an LSN comparison alone is blind to
-// the race and the stale image would silently swallow the commit — the
-// ticket carries a journal-independent commit tick instead.
+// AND finishes between BeginEvict and FinishEvict. With no journal
+// attached every commit sequences at kNoLsn, so an LSN comparison alone is
+// blind to the race and the stale image would silently swallow the commit
+// — the ticket carries a journal-independent commit tick instead.
 TEST(EvictionTest, FinishEvictDetectsRacedCommitWithoutDurableLsns) {
-  StoreWorld world;  // volatile Journal: AppendCommit returns kNoLsn
+  StoreWorld world({}, /*journaled=*/false);  // every commit at kNoLsn
   ASSERT_TRUE(world.Inc("D1", 6).ok());
   AtomicObject* obj = world.manager.object("D1");
   ASSERT_NE(obj, nullptr);
@@ -503,7 +506,7 @@ TEST(EvictionTest, FinishEvictDetectsRacedCommitWithoutDurableLsns) {
 // completes. Writing the first eviction's older image over it would lose
 // the commit — invisibly, since every LSN is kNoLsn.
 TEST(EvictionTest, StaleEvictionDoesNotOverwriteNewerImage) {
-  StoreWorld world;  // volatile Journal: AppendCommit returns kNoLsn
+  StoreWorld world({}, /*journaled=*/false);  // every commit at kNoLsn
   ASSERT_TRUE(world.Inc("D1", 6).ok());
   AtomicObject* obj = world.manager.object("D1");
   ASSERT_NE(obj, nullptr);
@@ -598,16 +601,11 @@ class BatchLogStore : public ObjectStore {
 // durable wait by a closed sink gate.
 TEST(EvictionTest, DropHoldsStoreMutexUntilItsKeyIsDeleted) {
   BatchLogStore store;
-  GatedSink sink;
-  JournalWriter writer(&sink);
-  GroupCommitPipeline pipeline(&writer, GroupCommitOptions{});
-  Journal journal;
-  journal.set_pipeline(&pipeline);
+  BasicMemoryLog<GatedSink> log(GroupCommitOptions{});
   TxnManager manager;
   RegisterCounterFactory(&manager);
   manager.set_object_store(&store);
-  manager.set_lifecycle_journal(&journal);
-  manager.set_commit_pipeline(&pipeline);
+  log.Attach(&manager);
   ASSERT_TRUE(manager
                   .RunTransaction([&](Transaction* txn) {
                     const StatusOr<AtomicObject*> obj =
@@ -618,10 +616,10 @@ TEST(EvictionTest, DropHoldsStoreMutexUntilItsKeyIsDeleted) {
                   .ok());
   ASSERT_TRUE(manager.EvictObject("D1").ok());  // key o:D1 holds 4
 
-  sink.Close();
+  log.sink.Close();
   Status dropped;
   std::thread dropper([&] { dropped = manager.DropObject("D1"); });
-  sink.WaitForParkedSync();  // the drop record is sequenced, not durable
+  log.sink.WaitForParkedSync();  // the drop record is sequenced, not durable
   ASSERT_EQ(manager.object("D1"), nullptr);
   // The drop holds the store mutex across its durable wait.
   const bool free = manager.store_mutex().try_lock();
@@ -636,7 +634,7 @@ TEST(EvictionTest, DropHoldsStoreMutexUntilItsKeyIsDeleted) {
     ASSERT_TRUE(manager.Abort(txn.get()).ok());
   }
   // A checkpoint whose anchor covers the drop record waits for the drop.
-  const Lsn anchor = journal.high_lsn();
+  const Lsn anchor = log.journal.high_lsn();
   CheckpointerOptions options;
   options.store = &store;
   StatusOr<Lsn> written = Status::Internal("not run");
@@ -644,17 +642,17 @@ TEST(EvictionTest, DropHoldsStoreMutexUntilItsKeyIsDeleted) {
   std::thread checkpointer([&] {
     written = Checkpointer(dir.path(), options).Write(&manager, anchor);
   });
-  sink.Open();
+  log.sink.Open();
   dropper.join();
   checkpointer.join();
   ASSERT_TRUE(dropped.ok()) << dropped.ToString();
   ASSERT_TRUE(written.ok()) << written.status().ToString();
-  const std::vector<std::string> log = store.log();
+  const std::vector<std::string> applied = store.log();
   const auto at = [&](const std::string& entry) {
-    return std::find(log.begin(), log.end(), entry) - log.begin();
+    return std::find(applied.begin(), applied.end(), entry) - applied.begin();
   };
-  ASSERT_LT(at("delete " + StoreObjectKey("D1")), log.size());
-  ASSERT_LT(at("put " + std::string(kStoreMetaKey)), log.size());
+  ASSERT_LT(at("delete " + StoreObjectKey("D1")), applied.size());
+  ASSERT_LT(at("put " + std::string(kStoreMetaKey)), applied.size());
   EXPECT_LT(at("delete " + StoreObjectKey("D1")),
             at("put " + std::string(kStoreMetaKey)))
       << "the checkpoint published its anchor before the dropped key died";
@@ -664,14 +662,14 @@ TEST(EvictionTest, LazyGetOrCreateReturnsEvictedShellWithoutCreateRecord) {
   StoreWorld world;
   ASSERT_TRUE(world.Inc("D1", 3).ok());
   ASSERT_TRUE(world.manager.EvictObject("D1").ok());
-  const size_t records_before = world.journal.size();
+  const size_t records_before = world.log.Entries().size();
   // GetOrCreate on an evicted id must hit the resident shell — no second
   // incarnation, no create record.
   StatusOr<AtomicObject*> obj =
       world.manager.GetOrCreate("D1", kCounterFactory);
   ASSERT_TRUE(obj.ok());
   EXPECT_EQ(*obj, world.manager.object("D1"));
-  EXPECT_EQ(world.journal.size(), records_before);
+  EXPECT_EQ(world.log.Entries().size(), records_before);
   EXPECT_EQ(*world.Read("D1"), 3);
 }
 
@@ -722,7 +720,7 @@ TEST(EvictionTest, FuzzyCheckpointSkipsEvictedObjectsButRestartSeesThem) {
   Checkpointer checkpointer(world.dir.path(),
                             CheckpointerOptions{.keep = 2, .store = &world.store});
   StatusOr<Lsn> anchor =
-      checkpointer.Write(&world.manager, world.journal.high_lsn());
+      checkpointer.Write(&world.manager, world.log.journal.high_lsn());
   ASSERT_TRUE(anchor.ok()) << anchor.status().ToString();
   // Incremental: the evicted object's image was already current; only the
   // resident object and the meta key were re-Put.
@@ -739,7 +737,7 @@ TEST(EvictionTest, FuzzyCheckpointSkipsEvictedObjectsButRestartSeesThem) {
   RegisterCounterFactory(&restarted);
   restarted.set_object_store(&world.store);
   ASSERT_TRUE(
-      restarted.RestartFromImage(EncodeJournalImage(world.journal)).ok());
+      restarted.RestartFromImage(world.log.sink.image()).ok());
   ASSERT_NE(restarted.object("D1"), nullptr);
   ASSERT_NE(restarted.object("D2"), nullptr);
   EXPECT_TRUE(restarted.object("D1")->CommittedState()->Equals(
@@ -764,7 +762,7 @@ TEST(EvictionTest, RestartReconcilesDroppedKeyAfterLostDelete) {
   RegisterCounterFactory(&restarted);
   restarted.set_object_store(&world.store);
   ASSERT_TRUE(
-      restarted.RestartFromImage(EncodeJournalImage(world.journal)).ok());
+      restarted.RestartFromImage(world.log.sink.image()).ok());
   EXPECT_EQ(restarted.object("D1"), nullptr);
   EXPECT_EQ(world.store.Get(StoreObjectKey("D1")).status().code(),
             StatusCode::kNotFound)
